@@ -3,7 +3,7 @@ inaccessible boundary for the 2-D Poisson problem, computed entirely on a
 fixed reference slab via a push-forward transform."""
 
 from .geometry import (BoundaryShape, InvalidShapeError, SampledProfile,
-                       admittance_alpha_derivative, admittance_factor, eval_f,
+                       admittance_alpha_derivative, admittance_factor,
                        pushforward_tensor, tensor_alpha_derivative)
 from .mesh import (InvalidMeshError, SlabMesh, TraceMesh, build_slab_mesh,
                    trace_of_top)

@@ -3,8 +3,7 @@
 Volume terms use a 3-point (degree-2 exact) barycentric Gauss rule, edge
 terms a 2-point Gauss rule.  Dirichlet side conditions are imposed by
 elimination so the reduced system stays symmetric positive definite; one
-sparse LU factorization is shared by all loads, adjoint solves and
-sensitivity solves.
+sparse LU factorization is shared by all loads and adjoint solves.
 """
 from __future__ import annotations
 
@@ -172,14 +171,6 @@ def interp_trace(trace: TraceMesh, values: np.ndarray, s):
     return np.interp(s, trace.s, values)
 
 
-def robin_coefficient(ws: FemWorkspace, shape, beta_trace: TraceMesh,
-                      beta: np.ndarray, squad: np.ndarray) -> np.ndarray:
-    """exp(beta(s)) * sqrt(1 + (df/ds)^2 H^2) at top-edge quadrature points."""
-    _, df = shape.eval(squad)
-    fac = np.sqrt(1.0 + df ** 2 * ws.mesh.H ** 2)
-    return np.exp(interp_trace(beta_trace, beta, squad)) * fac
-
-
 def assemble(mesh_or_ws, shape, beta: np.ndarray, sigma: float = 1.0,
              beta_trace: TraceMesh | None = None,
              shape_eval=None) -> AssembledSystem:
@@ -229,7 +220,7 @@ def assemble(mesh_or_ws, shape, beta: np.ndarray, sigma: float = 1.0,
     A_free = ((A_free + A_free.T) * 0.5).tocsc()
     try:
         factor = spla.splu(A_free)
-    except RuntimeError as exc:  # pragma: no cover - SPD by construction
+    except RuntimeError as exc:
         raise SolverError(f"sparse factorization failed: {exc}") from exc
     return AssembledSystem(A_free=A_free.tocsr(), factor=factor, ws=ws,
                            shape=shape, beta=beta)

@@ -92,11 +92,6 @@ class SampledProfile:
         return f, slopes[idx]
 
 
-def eval_f(shape, x1):
-    """(f, df/dx1) at x1 for any profile with an eval method."""
-    return shape.eval(x1)
-
-
 def pushforward_entries_from(f, df, x2):
     """Push-forward tensor entries from precomputed profile values."""
     if np.any(f <= 0.0):
@@ -132,7 +127,10 @@ def pushforward_alpha_entries_from(f, df, basis, dbasis, x2):
     x2 = np.asarray(x2, dtype=float)[..., None]
     d11 = basis
     d12 = -x2 * dbasis
-    d22 = -basis / f ** 2 + x2 ** 2 * (2.0 * df * dbasis / f - df ** 2 * basis / f ** 2)
+    # d22 = a * basis + b * basis' with a, b scalar fields at the points
+    a = -(1.0 + x2 ** 2 * df ** 2) / f ** 2
+    b = 2.0 * x2 ** 2 * df / f
+    d22 = a * basis + b * dbasis
     return d11, d12, d22
 
 

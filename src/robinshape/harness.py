@@ -33,7 +33,6 @@ class GNSettings:
     max_iters: int = 100
     grad_reduction: float = 1e5
     c1: float = 1e-4
-    c2: float = 0.9
 
 
 @dataclass
@@ -86,29 +85,17 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        def build(tp, data):
-            names = {f.name: f for f in dataclasses.fields(tp)}
-            unknown = set(data) - set(names)
-            if unknown:
-                raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-            kwargs = {}
-            for key, val in data.items():
-                f = names[key]
-                if dataclasses.is_dataclass(f.type) or f.type in (MeshSpec, GNSettings, MalaSettings):
-                    kwargs[key] = val
-                else:
-                    kwargs[key] = val
-            for key in ("fine_mesh", "inversion_mesh"):
-                if key in kwargs and isinstance(kwargs[key], dict):
-                    kwargs[key] = MeshSpec(**kwargs[key])
-            if "gn" in kwargs and isinstance(kwargs["gn"], dict):
-                kwargs["gn"] = GNSettings(**kwargs["gn"])
-            if "mala" in kwargs and isinstance(kwargs["mala"], dict):
-                kwargs["mala"] = MalaSettings(**kwargs["mala"])
-            return tp(**kwargs)
-
+        unknown = set(d) - {f.name for f in dataclasses.fields(cls)}
+        if unknown:
+            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        kwargs = dict(d)
+        nested = {"fine_mesh": MeshSpec, "inversion_mesh": MeshSpec,
+                  "gn": GNSettings, "mala": MalaSettings}
         try:
-            return build(cls, d)
+            for key, tp in nested.items():
+                if isinstance(kwargs.get(key), dict):
+                    kwargs[key] = tp(**kwargs[key])
+            return cls(**kwargs)
         except TypeError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -127,6 +114,10 @@ def atomic_write(path: str, text: str):
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)))
     try:
         with os.fdopen(fd, "w") as fh:
+            # mkstemp creates the file 0600; give it the mode open() would
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fd, 0o666 & ~umask)
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -332,8 +323,8 @@ def run_map(config: ExperimentConfig, dataset: SyntheticDataset,
     problem = problem or build_problem(config, dataset)
     opts = optimize.GaussNewtonOptions(max_iters=config.gn.max_iters,
                                        grad_reduction=config.gn.grad_reduction,
-                                       c1=config.gn.c1, c2=config.gn.c2)
-    m_map, report = gauss_newton_from_prior_mean(problem, opts)
+                                       c1=config.gn.c1)
+    m_map, report = optimize.gauss_newton(problem, problem.prior_mean, opts)
     lap = optimize.laplace(problem, m_map)
 
     alpha_map, beta_map = problem.split(m_map)
@@ -373,10 +364,6 @@ def run_map(config: ExperimentConfig, dataset: SyntheticDataset,
     atomic_write(os.path.join(out, "robin_envelope_laplace.csv"),
                  envelope_csv(problem.trace.s, beta_map, std[problem.n_alpha:]))
     return MapResult(m_map=m_map, report=report, laplace=lap, problem=problem)
-
-
-def gauss_newton_from_prior_mean(problem: Problem, opts: optimize.GaussNewtonOptions):
-    return optimize.gauss_newton(problem, problem.prior_mean, opts)
 
 
 @dataclass

@@ -2,14 +2,20 @@
 
 The parameter vector stacks the Fourier block (length 2p+1) and the nodal
 log-admittance block (length q).  One assembly and one factorization per
-evaluation are shared by forward, adjoint, and all sensitivity solves.
+evaluation are shared by the forward and adjoint solves.  The gradient and
+the Jacobian come from one kernel that contracts adjoint and forward
+solutions with the derivative of the system matrix: the gradient pairs each
+load with its residual adjoint, the Jacobian every load with each of the
+n_sensors sensor adjoints (32 solves at the default size, where the direct
+sensitivity method needed n * n_loads = 744).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 from . import fem
 from .geometry import (BoundaryShape, InvalidShapeError,
@@ -27,7 +33,6 @@ class PotentialEvaluation:
     prior: float
     obs: np.ndarray | None = None
     state: fem.ForwardState | None = None
-    gradient: np.ndarray | None = None
 
 
 class Problem:
@@ -60,21 +65,25 @@ class Problem:
         if self.data.shape != (self.m_obs,):
             raise ValueError("data length does not match sensors x loads")
         self.loads = fem.all_loads(self.ws, self.n_loads)
-        # quadrature bookkeeping for gradient/Jacobian boundary terms
-        self.top_squad, self.top_len = self.ws.top_squad, self.ws.top_len
         # Fourier basis cached at the fixed quadrature points, so each
         # evaluation of f and df reduces to a matrix-vector product
         self.Vq, self.dVq = fourier_basis(p, mesh.L, self.ws.quad_pts[..., 0])
-        self.Vt, self.dVt = fourier_basis(p, mesh.L, self.top_squad)
+        self.Vt, self.dVt = fourier_basis(p, mesh.L, self.ws.top_squad)
         # shape-independent pieces of the volume alpha-derivative sums:
         # the s11 derivative is the basis itself and the s12 derivative is
         # -x2 * basis', so their quadrature-weighted sums are constant
         x2q = self.ws.quad_pts[..., 1]
-        wg = np.broadcast_to(self.ws.areas[:, None] / 3.0, x2q.shape)
-        self.D11c = np.einsum("tg,tgi->ti", wg, self.Vq)
-        self.D12c = -np.einsum("tg,tgi->ti", wg * x2q, self.dVq)
-        self._Vq_flat = self.Vq.reshape(-1, self.n_alpha)
-        self._dVq_flat = self.dVq.reshape(-1, self.n_alpha)
+        self.wg = np.broadcast_to(self.ws.areas[:, None] / 3.0, x2q.shape)
+        self.D11c = np.einsum("tg,tgi->ti", self.wg, self.Vq)
+        self.D12c = -np.einsum("tg,tgi->ti", self.wg * x2q, self.dVq)
+        # P1 gradient operator: row c * T + t of grad_op @ u is component c
+        # of grad(u) on triangle t
+        T = mesh.triangles.shape[0]
+        rows = np.arange(2 * T).reshape(2, T, 1).repeat(3, axis=2)
+        cols = np.broadcast_to(mesh.triangles, rows.shape)
+        self.grad_op = sp.csr_matrix((self.ws.grads.transpose(2, 0, 1).ravel(),
+                                      (rows.ravel(), cols.ravel())),
+                                     shape=(2 * T, mesh.n_nodes))
 
     # -- parameter layout ---------------------------------------------------
 
@@ -109,7 +118,8 @@ class Problem:
                 (1.0 + self.Vt @ alpha, self.dVt @ alpha))
 
     def forward(self, m: np.ndarray) -> tuple[fem.ForwardState, np.ndarray]:
-        """Assemble, solve all loads, observe.  Raises InvalidShapeError."""
+        """Assemble, solve all loads, observe.  Raises InvalidShapeError or
+        fem.SolverError."""
         alpha, beta = self.split(m)
         if not np.all(np.isfinite(alpha)):
             raise InvalidShapeError("non-finite Fourier coefficients")
@@ -126,7 +136,7 @@ class Problem:
     def potential(self, m: np.ndarray) -> PotentialEvaluation:
         try:
             state, obs = self.forward(m)
-        except InvalidShapeError:
+        except (InvalidShapeError, fem.SolverError):
             return PotentialEvaluation(J=np.inf, misfit=np.inf, prior=np.nan)
         r = self.data - obs
         misfit = 0.5 * self.inv_noise_var * float(r @ r)
@@ -137,65 +147,55 @@ class Problem:
     def potential_value(self, m: np.ndarray) -> float:
         return self.potential(m).J
 
-    # -- adjoint gradient ---------------------------------------------------
+    # -- sensitivities ------------------------------------------------------
 
-    def _adjoint_solutions(self, state: fem.ForwardState, obs: np.ndarray) -> np.ndarray:
-        r = (self.data - obs).reshape(self.n_loads, -1)  # (loads, sensors)
-        rhs = self.inv_noise_var * (self.B.T @ r.T)      # (N, loads)
-        return state.system.solve(rhs)
+    def _contract(self, m: np.ndarray, U: np.ndarray, W: np.ndarray) -> np.ndarray:
+        """(P, n) contractions w_p^T (dA/dm) u_p for matching columns of the
+        (N, P) arrays U and W: the one sensitivity kernel behind the gradient
+        and the Jacobian."""
+        alpha, beta = self.split(m)
+        (f_vol, df_vol), (_, df_top) = self._shape_eval(alpha)
+        P = U.shape[1]
 
-    def _edge_uv(self, U: np.ndarray, V: np.ndarray) -> np.ndarray:
-        """sum_k u_k v_k at top-edge quadrature points, shape (E, 2)."""
-        u_nod = U[self.ws.top_edges]   # (E, 2, loads)
-        v_nod = V[self.ws.top_edges]
-        uq = np.einsum("enk,gn->egk", u_nod, _EDGE_PHI)
-        vq = np.einsum("enk,gn->egk", v_nod, _EDGE_PHI)
-        return np.sum(uq * vq, axis=2)
+        # volume part, alpha only: sigma * grad(w) . (dS/dalpha) grad(u)
+        _, _, d22 = pushforward_alpha_entries_from(f_vol, df_vol, self.Vq, self.dVq,
+                                                   self.ws.quad_pts[..., 1])
+        D22 = np.einsum("tg,tgi->ti", self.wg, d22)
+        gu = (self.grad_op @ U).reshape(2, -1, P)  # (2, T, P)
+        gw = (self.grad_op @ W).reshape(2, -1, P)
+        g_alpha = self.sigma * ((gu[0] * gw[0]).T @ self.D11c
+                                + (gu[0] * gw[1] + gu[1] * gw[0]).T @ self.D12c
+                                + (gu[1] * gw[1]).T @ D22)
+
+        # boundary part: exp(beta) times the admittance factor, differentiated
+        # in alpha through the factor and in beta through the trace hat functions
+        edges = self.ws.top_edges
+        uw = (np.einsum("enp,gn->egp", U[edges], _EDGE_PHI)
+              * np.einsum("enp,gn->egp", W[edges], _EDGE_PHI))  # (E, 2, P)
+        wq = _EDGE_W[None, :] * self.ws.top_len[:, None] * np.exp(
+            fem.interp_trace(self.trace, beta, self.ws.top_squad))
+        dfac = admittance_alpha_entries_from(df_top, self.dVt, self.mesh.H)
+        g_alpha += np.einsum("egp,egi->pi", uw, wq[..., None] * dfac)
+        fac = np.sqrt(1.0 + df_top ** 2 * self.mesh.H ** 2)
+        local = np.einsum("egp,ga->eap", uw * (wq * fac)[..., None], _EDGE_PHI)
+        g_beta = np.zeros((self.q, P))
+        np.add.at(g_beta, self.ws.node_to_trace[edges].ravel(), local.reshape(-1, P))
+        return np.concatenate([g_alpha, g_beta.T], axis=1)
 
     def gradient(self, m: np.ndarray,
                  evaluation: PotentialEvaluation | None = None) -> np.ndarray:
-        """Full gradient of J via one adjoint solve per load."""
+        """Full gradient of J: the kernel on the forward solutions paired with
+        one residual adjoint per load, summed over loads, plus the prior."""
         ev = evaluation if evaluation is not None else self.potential(m)
         if not np.isfinite(ev.J):
             raise InvalidShapeError("cannot differentiate at an invalid shape")
+        r = (self.data - ev.obs).reshape(self.n_loads, -1)  # (loads, sensors)
+        V = ev.state.system.solve(self.inv_noise_var * (self.B.T @ r.T))
+        g = self._contract(m, ev.state.solutions, V).sum(axis=0)
         alpha, beta = self.split(m)
-        (f_vol, df_vol), (_, df_top) = self._shape_eval(alpha)
-        U = ev.state.solutions
-        V = self._adjoint_solutions(ev.state, ev.obs)
-
-        # volume term: sum over loads of grad(u) (x) grad(v) per triangle
-        gu = np.einsum("tai,tak->tik", self.ws.grads, U[self.mesh.triangles])
-        gv = np.einsum("tai,tak->tik", self.ws.grads, V[self.mesh.triangles])
-        P11 = np.sum(gu[:, 0] * gv[:, 0], axis=1)
-        P12 = np.sum(gu[:, 0] * gv[:, 1] + gu[:, 1] * gv[:, 0], axis=1)
-        P22 = np.sum(gu[:, 1] * gv[:, 1], axis=1)
-
-        # s22 alpha-derivative splits into coefficients of basis and basis':
-        # a * basis + b * basis' with a, b scalar fields at the quad points
-        x2q = self.ws.quad_pts[..., 1]
-        a = -(1.0 + x2q ** 2 * df_vol ** 2) / f_vol ** 2
-        b = 2.0 * x2q ** 2 * df_vol / f_vol
-        w22 = (P22 * self.ws.areas / 3.0)[:, None]
-        g_alpha = self.sigma * (P11 @ self.D11c + P12 @ self.D12c
-                                + (w22 * a).ravel() @ self._Vq_flat
-                                + (w22 * b).ravel() @ self._dVq_flat)
-
-        # boundary terms at top-edge quadrature points
-        uv = self._edge_uv(U, V)                               # (E, 2)
-        wq = _EDGE_W[None, :] * self.top_len[:, None]          # (E, 2)
-        beta_q = fem.interp_trace(self.trace, beta, self.top_squad)
-        dfac = admittance_alpha_entries_from(df_top, self.dVt, self.mesh.H)
-        g_alpha += np.einsum("eg,eg,egi->i", wq * uv, np.exp(beta_q), dfac)
-
-        fac = np.sqrt(1.0 + df_top ** 2 * self.mesh.H ** 2)
-        bq = wq * uv * np.exp(beta_q) * fac                    # (E, 2)
-        g_beta_nodes = np.zeros(self.mesh.n_nodes)
-        np.add.at(g_beta_nodes, self.ws.top_edges.ravel(), (bq @ _EDGE_PHI).ravel())
-        g_beta = g_beta_nodes[self.trace.parent_nodes]
-
-        g_alpha += self.alpha_prior.precision_diag * (alpha - self.alpha_prior.mean)
-        g_beta += self.beta_prior.precision @ (beta - self.beta_prior.mean)
-        return np.concatenate([g_alpha, g_beta])
+        g[:self.n_alpha] += self.alpha_prior.precision_diag * (alpha - self.alpha_prior.mean)
+        g[self.n_alpha:] += self.beta_prior.precision @ (beta - self.beta_prior.mean)
+        return g
 
     def potential_and_gradient(self, m: np.ndarray):
         """(J, grad) with grad None when the shape is invalid (MALA target)."""
@@ -204,75 +204,20 @@ class Problem:
             return np.inf, None
         return ev.J, self.gradient(m, evaluation=ev)
 
-    # -- sensitivity Jacobian -----------------------------------------------
-
     def jacobian(self, m: np.ndarray,
                  evaluation: PotentialEvaluation | None = None) -> np.ndarray:
-        """Dense (m_obs, n) Jacobian of the observation map via the direct
-        (sensitivity) method, reusing the forward factorization."""
+        """Dense (m_obs, n) Jacobian of the observation map.
+
+        Row (k, s) is -w_s^T (dA/dm) u_k with w_s = A^-1 B^T e_s the adjoint of
+        sensor s: n_sensors solves with the forward factorization, then the
+        gradient's kernel on every load-major (load, sensor) pair.
+        """
         ev = evaluation if evaluation is not None else self.potential(m)
         if not np.isfinite(ev.J):
             raise InvalidShapeError("cannot linearize at an invalid shape")
-        alpha, beta = self.split(m)
-        (f_vol, df_vol), (_, df_top) = self._shape_eval(alpha)
-        U = ev.state.solutions  # (N, loads)
-        system = ev.state.system
-        n_nodes = self.mesh.n_nodes
-        tri = self.mesh.triangles
-
-        gu = np.einsum("tai,tak->tik", self.ws.grads, U[tri])  # (T, 2, loads)
-        x2q = self.ws.quad_pts[..., 1]
-        d11, d12, d22 = pushforward_alpha_entries_from(f_vol, df_vol,
-                                                       self.Vq, self.dVq, x2q)
-        w = self.ws.areas[:, None] / 3.0
-        D11 = self.sigma * np.sum(w[..., None] * d11, axis=1)
-        D12 = self.sigma * np.sum(w[..., None] * d12, axis=1)
-        D22 = self.sigma * np.sum(w[..., None] * d22, axis=1)
-
-        wq = _EDGE_W[None, :] * self.top_len[:, None]
-        beta_q = fem.interp_trace(self.trace, beta, self.top_squad)
-        fac = np.sqrt(1.0 + df_top ** 2 * self.mesh.H ** 2)
-        dfac = admittance_alpha_entries_from(df_top, self.dVt, self.mesh.H)
-        u_edge = np.einsum("enk,gn->egk", U[self.ws.top_edges], _EDGE_PHI)  # (E,2,loads)
-
-        rhs = np.zeros((n_nodes, self.n * self.n_loads))
-
-        for i in range(self.n_alpha):
-            # -(dA/dalpha_i) u : volume + boundary parts
-            Si = np.empty((tri.shape[0], 2, 2))
-            Si[:, 0, 0] = D11[:, i]
-            Si[:, 0, 1] = Si[:, 1, 0] = D12[:, i]
-            Si[:, 1, 1] = D22[:, i]
-            r_loc = -np.einsum("tai,tij,tjk->tak", self.ws.grads, Si, gu)
-            block = np.zeros((n_nodes, self.n_loads))
-            np.add.at(block, tri.ravel(),
-                      r_loc.reshape(-1, self.n_loads))
-            bnd = -(wq * np.exp(beta_q) * dfac[..., i])[..., None] * u_edge  # (E,2,loads)
-            np.add.at(block, self.ws.top_edges.ravel(),
-                      np.einsum("egk,ga->eak", bnd, _EDGE_PHI).reshape(-1, self.n_loads))
-            rhs[:, i * self.n_loads:(i + 1) * self.n_loads] = block
-
-        # beta directions: dA/dbeta_j has the extra hat-function factor phi_j
-        cq = wq * np.exp(beta_q) * fac                           # (E, 2)
-        # contribution of edge e, gauss g to direction j (local) and test a (local)
-        contrib = np.einsum("eg,egk,gj,ga->ejak", cq, u_edge, _EDGE_PHI, _EDGE_PHI)
-        beta_block = np.zeros((self.q, n_nodes, self.n_loads))
-        trace_idx = self.ws.node_to_trace[self.ws.top_edges]     # (E, 2)
-        e_idx = np.broadcast_to(trace_idx[:, :, None], contrib.shape[:3])
-        a_idx = np.broadcast_to(self.ws.top_edges[:, None, :], contrib.shape[:3])
-        np.add.at(beta_block, (e_idx.ravel(), a_idx.ravel()),
-                  contrib.reshape(-1, self.n_loads))
-        for j in range(self.q):
-            col = self.n_alpha + j
-            rhs[:, col * self.n_loads:(col + 1) * self.n_loads] = -beta_block[j]
-
-        dU = system.solve(rhs)  # (N, n * loads)
-        obs_cols = self.B @ dU  # (sensors, n * loads)
-        G = np.empty((self.m_obs, self.n))
-        for c in range(self.n):
-            cols = obs_cols[:, c * self.n_loads:(c + 1) * self.n_loads]
-            G[:, c] = cols.T.ravel()  # load-major like the data
-        return G
+        W = ev.state.system.solve(self.B.T.toarray())  # (N, sensors)
+        U = np.repeat(ev.state.solutions, W.shape[1], axis=1)
+        return -self._contract(m, U, np.tile(W, self.n_loads))
 
     def linearize(self, m: np.ndarray):
         """(J, predicted observations, Jacobian) in one evaluation."""

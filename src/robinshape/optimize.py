@@ -13,7 +13,6 @@ class GaussNewtonOptions:
     max_iters: int = 100
     grad_reduction: float = 1e5
     c1: float = 1e-4
-    c2: float = 0.9  # recorded; curvature condition not enforced
     backtrack_factor: float = 0.5
     min_step: float = 1e-14
     # declare convergence when no decrease beyond roundoff scale is possible

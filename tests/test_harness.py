@@ -49,6 +49,19 @@ def test_config_rejects_unknown_keys():
         ExperimentConfig.from_dict({"n_sensors": 0})
 
 
+def test_atomic_write_mode_follows_umask(tmp_path):
+    old = os.umask(0o022)
+    try:
+        harness.atomic_write(str(tmp_path / "a.json"), "{}")
+        os.umask(0o077)
+        harness.atomic_write(str(tmp_path / "b.json"), "{}")
+    finally:
+        os.umask(old)
+    assert (tmp_path / "a.json").stat().st_mode & 0o777 == 0o644
+    assert (tmp_path / "b.json").stat().st_mode & 0o777 == 0o600
+    assert (tmp_path / "a.json").read_text() == "{}"
+
+
 def test_sensor_placement():
     cfg = ExperimentConfig()
     x = cfg.sensor_x1()

@@ -112,8 +112,7 @@ def test_jacobian_columns_fd(rng):
     m = random_valid_parameters(prob, rng)
     _, pred, G = prob.linearize(m)
     h = 1e-6
-    cols = [0, 2, prob.n_alpha - 1, prob.n_alpha + 1, prob.n - 2]
-    for i in cols:
+    for i in range(prob.n):
         e = np.zeros(prob.n)
         e[i] = h
         fd = (prob.forward(m + e)[1] - prob.forward(m - e)[1]) / (2 * h)
@@ -140,3 +139,14 @@ def test_invalid_shape_handling():
         prob.gradient(m)
     m[0] = np.nan
     assert prob.potential_value(m) == np.inf
+
+
+def test_overflowed_robin_coefficient_is_rejected():
+    # exp(1000) overflows, the factorization fails, and the point must read
+    # as invalid rather than raise out of a sampler or line search
+    prob = small_problem()
+    m = np.zeros(prob.n)
+    m[prob.n_alpha + 10] = 1000.0
+    assert prob.potential(m).J == np.inf
+    assert prob.potential_and_gradient(m) == (np.inf, None)
+    assert prob.linearize(m)[0] == np.inf
