@@ -2,9 +2,7 @@
 inaccessible boundary for the 2-D Poisson problem, computed entirely on a
 fixed reference slab via a push-forward transform."""
 
-from .geometry import (BoundaryShape, InvalidShapeError, SampledProfile,
-                       admittance_alpha_derivative, admittance_factor,
-                       pushforward_tensor, tensor_alpha_derivative)
+from .geometry import BoundaryShape, InvalidShapeError, SampledProfile
 from .mesh import (InvalidMeshError, SlabMesh, TraceMesh, build_slab_mesh,
                    trace_of_top)
 from .fem import (AssembledSystem, ForwardState, Observation, SolverError,

@@ -4,6 +4,10 @@ Volume terms use a 3-point (degree-2 exact) barycentric Gauss rule, edge
 terms a 2-point Gauss rule.  Dirichlet side conditions are imposed by
 elimination so the reduced system stays symmetric positive definite; one
 sparse LU factorization is shared by all loads and adjoint solves.
+
+`assemble` (push-forward tensor on the reference slab) and the verification
+path `solve_deformed` (isotropic operator on the stretched mesh, chord lengths
+on the slanted top edge) share the one scatter and factorization, `_factor`.
 """
 from __future__ import annotations
 
@@ -13,8 +17,9 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .geometry import InvalidShapeError, pushforward_entries_from
-from .mesh import SlabMesh, TraceMesh, trace_of_top, triangle_areas
+from .geometry import (InvalidShapeError, admittance_factor_from,
+                       pushforward_entries_from)
+from .mesh import SlabMesh, trace_of_top, triangle_areas
 
 
 class SolverError(Exception):
@@ -69,7 +74,7 @@ class FemWorkspace:
         self.node_to_trace[self.trace.parent_nodes] = np.arange(self.trace.n_nodes)
 
         # top-edge quadrature and the scatter pattern of the reduced system,
-        # so repeated assemblies skip the full-matrix build and subsetting
+        # so every assembly is one scatter with no full-matrix subsetting
         self.top_squad, self.top_len = self.edge_quad(self.top_edges)
         tri = mesh.triangles
         rows = np.concatenate([np.repeat(tri, 3, axis=1).ravel(),
@@ -98,17 +103,16 @@ class FemWorkspace:
 
 @dataclass
 class AssembledSystem:
-    """Reduced SPD system with its factorization."""
+    """Reduced SPD system with its factorization.  profile ((f, df) at the
+    volume and at the top-edge quadrature points) and robin (exp(beta) * w_g
+    * len at the top-edge quadrature points) are kept for the sensitivity
+    kernel; the deformed-domain system carries neither."""
 
-    A_free: sp.csr_matrix
+    A_free: sp.csc_matrix
     factor: spla.SuperLU
     ws: FemWorkspace
-    shape: object
-    beta: np.ndarray
-
-    @property
-    def n_free(self) -> int:
-        return self.ws.free.size
+    profile: tuple | None = None
+    robin: np.ndarray | None = None
 
     def solve(self, rhs_full: np.ndarray) -> np.ndarray:
         """Solve for full nodal vectors; Dirichlet entries of the result are zero.
@@ -137,56 +141,40 @@ class Observation:
     n_loads: int
 
 
-def _volume_matrix(ws: FemWorkspace, s11, s12, s22) -> sp.coo_matrix:
-    """Stiffness from tensor entries evaluated at the quadrature points (T, 3)."""
-    w = ws.areas[:, None] / 3.0
-    S = np.empty((ws.areas.size, 2, 2))
-    S[:, 0, 0] = np.sum(w * s11, axis=1)
-    S[:, 0, 1] = S[:, 1, 0] = np.sum(w * s12, axis=1)
-    S[:, 1, 1] = np.sum(w * s22, axis=1)
-    k_loc = np.einsum("tai,tij,tbj->tab", ws.grads, S, ws.grads)
-    tri = ws.mesh.triangles
-    rows = np.repeat(tri, 3, axis=1).ravel()
-    cols = np.tile(tri, (1, 3)).ravel()
-    n = ws.mesh.n_nodes
-    return sp.coo_matrix((k_loc.ravel(), (rows, cols)), shape=(n, n))
+def _factor(ws: FemWorkspace, S11, S12, S22, wq):
+    """Scatter and factor the reduced system: the one assembly path.
 
-
-def _edge_mass_matrix(edges: np.ndarray, coeff_quad: np.ndarray,
-                      lengths: np.ndarray, n_nodes: int) -> sp.coo_matrix:
-    """Boundary mass sum_g w_g * c_g * phi_a phi_b on the given edges.
-
-    coeff_quad: coefficient values at the 2 Gauss points of each edge (E, 2);
-    lengths: physical edge lengths (E,).
+    S11, S12, S22 are the per-triangle integrals (T,) of the conductivity
+    entries, wq the Robin weights at the top-edge quadrature points (E, 2).
+    Returns (A_free, factor).
     """
-    wq = coeff_quad * (_EDGE_W[None, :] * lengths[:, None])  # (E, 2)
+    k_loc = (S11[:, None, None] * ws.K11 + S12[:, None, None] * ws.K12
+             + S22[:, None, None] * ws.K22)
     m_loc = np.einsum("eg,ga,gb->eab", wq, _EDGE_PHI, _EDGE_PHI)
-    rows = np.repeat(edges, 2, axis=1).ravel()
-    cols = np.tile(edges, (1, 2)).ravel()
-    return sp.coo_matrix((m_loc.ravel(), (rows, cols)), shape=(n_nodes, n_nodes))
+    data = np.concatenate([k_loc.ravel(), m_loc.ravel()])[ws.asm_keep]
+    nf = ws.free.size
+    A_free = sp.csc_matrix((data, (ws.asm_rows, ws.asm_cols)), shape=(nf, nf))
+    # the local matrices are exactly symmetric but duplicate summation order
+    # is not; restore bitwise symmetry for the factorization
+    A_free = ((A_free + A_free.T) * 0.5).tocsc()
+    try:
+        factor = spla.splu(A_free)
+    except RuntimeError as exc:
+        raise SolverError(f"sparse factorization failed: {exc}") from exc
+    return A_free, factor
 
 
-def interp_trace(trace: TraceMesh, values: np.ndarray, s):
-    """P1 interpolation of trace-nodal values at arc-coordinates s."""
-    return np.interp(s, trace.s, values)
-
-
-def assemble(mesh_or_ws, shape, beta: np.ndarray, sigma: float = 1.0,
-             beta_trace: TraceMesh | None = None,
+def assemble(ws: FemWorkspace, shape, beta: np.ndarray,
              shape_eval=None) -> AssembledSystem:
     """Assemble the transformed Poisson system for a shape and Robin field.
 
-    beta holds nodal log-admittance values on beta_trace (defaults to this
-    mesh's own top trace).  sigma is a constant scalar conductivity.
+    beta holds nodal log-admittance values on the workspace's top trace.
     shape_eval, when given, is ((f, df) at the volume quadrature points,
     (f, df) at the top-edge quadrature points) precomputed by the caller;
     this skips shape.eval and the dense positivity sampling.
     """
-    ws = mesh_or_ws if isinstance(mesh_or_ws, FemWorkspace) else FemWorkspace(mesh_or_ws)
-    if beta_trace is None:
-        beta_trace = ws.trace
     beta = np.asarray(beta, dtype=float)
-    if beta.shape != (beta_trace.n_nodes,):
+    if beta.shape != (ws.trace.n_nodes,):
         raise ValueError("beta length does not match its trace mesh")
 
     if shape_eval is None:
@@ -200,38 +188,21 @@ def assemble(mesh_or_ws, shape, beta: np.ndarray, sigma: float = 1.0,
             raise InvalidShapeError("height profile f is not positive on the top edge")
     s11, s12, s22 = pushforward_entries_from(f_vol, df_vol, ws.quad_pts[..., 1])
 
-    w = sigma * ws.areas / 3.0
-    S11 = w * np.sum(s11, axis=1)
-    S12 = w * np.sum(s12, axis=1)
-    S22 = w * np.sum(s22, axis=1)
-    k_loc = (S11[:, None, None] * ws.K11 + S12[:, None, None] * ws.K12
-             + S22[:, None, None] * ws.K22)
-
-    fac = np.sqrt(1.0 + df_top ** 2 * ws.mesh.H ** 2)
-    coeff = np.exp(interp_trace(beta_trace, beta, ws.top_squad)) * fac
-    wq = coeff * (_EDGE_W[None, :] * ws.top_len[:, None])
-    m_loc = np.einsum("eg,ga,gb->eab", wq, _EDGE_PHI, _EDGE_PHI)
-
-    data = np.concatenate([k_loc.ravel(), m_loc.ravel()])[ws.asm_keep]
-    nf = ws.free.size
-    A_free = sp.csc_matrix((data, (ws.asm_rows, ws.asm_cols)), shape=(nf, nf))
-    # the local matrices are exactly symmetric but duplicate summation order
-    # is not; restore bitwise symmetry for the factorization
-    A_free = ((A_free + A_free.T) * 0.5).tocsc()
-    try:
-        factor = spla.splu(A_free)
-    except RuntimeError as exc:
-        raise SolverError(f"sparse factorization failed: {exc}") from exc
-    return AssembledSystem(A_free=A_free.tocsr(), factor=factor, ws=ws,
-                           shape=shape, beta=beta)
+    w = ws.areas / 3.0
+    coeff = np.exp(np.interp(ws.top_squad, ws.trace.s, beta))
+    lw = _EDGE_W[None, :] * ws.top_len[:, None]
+    A_free, factor = _factor(ws, w * np.sum(s11, axis=1), w * np.sum(s12, axis=1),
+                             w * np.sum(s22, axis=1),
+                             coeff * admittance_factor_from(df_top, ws.mesh.H) * lw)
+    return AssembledSystem(A_free=A_free, factor=factor, ws=ws,
+                           profile=((f_vol, df_vol), (f_top, df_top)), robin=coeff * lw)
 
 
-def neumann_load(mesh_or_ws, k: int) -> np.ndarray:
+def neumann_load(ws: FemWorkspace, k: int) -> np.ndarray:
     """Load vector for the bottom-edge current sin(2 pi k s / L).
 
     Dirichlet entries are zeroed.
     """
-    ws = mesh_or_ws if isinstance(mesh_or_ws, FemWorkspace) else FemWorkspace(mesh_or_ws)
     squad, lengths = ws.edge_quad(ws.bottom_edges)
     g = np.sin(2.0 * np.pi * k * squad / ws.mesh.L)
     wq = g * (_EDGE_W[None, :] * lengths[:, None])
@@ -283,7 +254,7 @@ def observe(state: ForwardState, sensor_x1) -> Observation:
 
 
 def solve_deformed(mesh: SlabMesh, shape, beta: np.ndarray, n_loads: int,
-                   sensor_x1, beta_trace: TraceMesh | None = None) -> Observation:
+                   sensor_x1) -> Observation:
     """Direct solve on the physically deformed domain (verification path).
 
     The structured slab mesh is stretched vertically so that node row j sits
@@ -297,23 +268,12 @@ def solve_deformed(mesh: SlabMesh, shape, beta: np.ndarray, n_loads: int,
                         edge_groups=mesh.edge_groups, L=mesh.L, H=mesh.H,
                         nx=mesh.nx, ny=mesh.ny)
     ws = FemWorkspace(deformed)
-    if beta_trace is None:
-        beta_trace = ws.trace  # same x1 arc-parameterisation as the reference trace
-    beta = np.asarray(beta, dtype=float)
-
-    ones = np.ones_like(ws.quad_pts[..., 0])
-    A = _volume_matrix(ws, ones, np.zeros_like(ones), ones)
-
-    squad, _ = ws.edge_quad(ws.top_edges)
     pa = deformed.nodes[ws.top_edges[:, 0]]
     pb = deformed.nodes[ws.top_edges[:, 1]]
     lengths = np.hypot(pb[:, 0] - pa[:, 0], pb[:, 1] - pa[:, 1])
-    coeff = np.exp(interp_trace(beta_trace, beta, squad))
-    A = (A + _edge_mass_matrix(ws.top_edges, coeff, lengths, deformed.n_nodes)).tocsr()
-
-    A_free = A[ws.free][:, ws.free].tocsc()
-    factor = spla.splu(A_free)
-    system = AssembledSystem(A_free=A_free.tocsr(), factor=factor, ws=ws,
-                             shape=shape, beta=beta)
-    state = solve_all(system, n_loads)
+    # the deformed trace keeps the reference x1 parameterisation of beta
+    wq = np.exp(np.interp(ws.top_squad, ws.trace.s, np.asarray(beta, dtype=float))) * (
+        _EDGE_W[None, :] * lengths[:, None])
+    A_free, factor = _factor(ws, ws.areas, np.zeros_like(ws.areas), ws.areas, wq)
+    state = solve_all(AssembledSystem(A_free=A_free, factor=factor, ws=ws), n_loads)
     return observe(state, sensor_x1)

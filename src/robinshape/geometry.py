@@ -93,34 +93,17 @@ class SampledProfile:
 
 
 def pushforward_entries_from(f, df, x2):
-    """Push-forward tensor entries from precomputed profile values."""
+    """Entries (s11, s12, s22) of the symmetric push-forward conductivity at
+    reference points of height coordinate x2, from the profile values f and
+    df/dx1 at their x1; the physical height coordinate is x2 * f(x1)."""
     if np.any(f <= 0.0):
         raise InvalidShapeError("height profile f is not positive at evaluation points")
     return f, -x2 * df, 1.0 / f + x2 ** 2 * df ** 2 / f
 
 
-def pushforward_entries(shape, x1, x2):
-    """Entries (s11, s12, s22) of the push-forward conductivity at reference
-    points (x1, x2); the physical height coordinate is x2 * f(x1)."""
-    f, df = shape.eval(x1)
-    return pushforward_entries_from(f, df, x2)
-
-
-def pushforward_tensor(shape, xtilde) -> np.ndarray:
-    """Symmetric 2x2 push-forward conductivity at a reference point."""
-    x1, x2 = xtilde
-    s11, s12, s22 = pushforward_entries(shape, x1, x2)
-    return np.array([[s11, s12], [s12, s22]])
-
-
-def admittance_factor(shape, s):
-    """Arc-length factor sqrt(1 + (df/ds)^2 H^2) multiplying exp(beta)."""
-    _, df = shape.eval(s)
-    return np.sqrt(1.0 + df ** 2 * shape.H ** 2)
-
-
 def pushforward_alpha_entries_from(f, df, basis, dbasis, x2):
-    """Alpha-derivatives of the tensor entries from precomputed profile and
+    """Derivatives (d11, d12, d22) of the tensor entries w.r.t. every Fourier
+    coefficient at fixed reference coordinates, from precomputed profile and
     basis values (basis/dbasis carry a trailing coefficient axis)."""
     f = f[..., None]
     df = df[..., None]
@@ -134,46 +117,12 @@ def pushforward_alpha_entries_from(f, df, basis, dbasis, x2):
     return d11, d12, d22
 
 
-def pushforward_alpha_entries(shape: BoundaryShape, x1, x2):
-    """Derivatives of the push-forward tensor entries w.r.t. every Fourier
-    coefficient, at fixed reference coordinates.
-
-    Returns (d11, d12, d22), each with shape x1.shape + (2p+1,).
-    """
-    x1 = np.asarray(x1, dtype=float)
-    f, df = shape.eval(x1)
-    c, dc = fourier_basis(shape.p, shape.L, x1)
-    return pushforward_alpha_entries_from(f, df, c, dc, x2)
-
-
-def tensor_alpha_derivative(shape: BoundaryShape, xtilde, i: int) -> np.ndarray:
-    """d/d(alpha_i) of pushforward_tensor at a fixed reference point."""
-    if not 0 <= i <= 2 * shape.p:
-        raise ValueError(f"coefficient index {i} out of range for p={shape.p}")
-    x1, x2 = xtilde
-    d11, d12, d22 = pushforward_alpha_entries(shape, np.asarray(x1), np.asarray(x2))
-    return np.array([[d11[..., i], d12[..., i]], [d12[..., i], d22[..., i]]])
+def admittance_factor_from(df, H):
+    """Arc-length factor sqrt(1 + (df/ds)^2 H^2) multiplying exp(beta)."""
+    return np.sqrt(1.0 + df ** 2 * H ** 2)
 
 
 def admittance_alpha_entries_from(df, dbasis, H):
-    """Alpha-derivatives of the admittance factor from precomputed slopes."""
-    fac = np.sqrt(1.0 + df ** 2 * H ** 2)
-    return H ** 2 * df[..., None] * dbasis / fac[..., None]
-
-
-def admittance_alpha_entries(shape: BoundaryShape, s):
-    """Derivatives of the admittance factor w.r.t. every Fourier coefficient.
-
-    Shape: s.shape + (2p+1,).
-    """
-    s = np.asarray(s, dtype=float)
-    _, df = shape.eval(s)
-    _, dc = fourier_basis(shape.p, shape.L, s)
-    return admittance_alpha_entries_from(df, dc, shape.H)
-
-
-def admittance_alpha_derivative(shape: BoundaryShape, s, i: int):
-    """d/d(alpha_i) of admittance_factor at arc-coordinate s."""
-    if not 0 <= i <= 2 * shape.p:
-        raise ValueError(f"coefficient index {i} out of range for p={shape.p}")
-    return admittance_alpha_entries(shape, s)[..., i]
+    """Derivatives of the admittance factor w.r.t. every Fourier coefficient
+    from precomputed slopes (dbasis carries a trailing coefficient axis)."""
+    return H ** 2 * df[..., None] * dbasis / admittance_factor_from(df, H)[..., None]

@@ -45,7 +45,6 @@ class MalaSettings:
     adapt_exponent: float = 0.6
     refresh_every: int = 100
     tau_init: float = 0.1
-    n_chains: int = 1
 
 
 @dataclass
@@ -266,7 +265,7 @@ def generate_data(config: ExperimentConfig) -> SyntheticDataset:
     trace = trace_of_top(mesh)
     beta_true = np.asarray(beta_fn(trace.s), dtype=float)
 
-    system = fem.assemble(mesh, profile, beta_true)
+    system = fem.assemble(fem.FemWorkspace(mesh), profile, beta_true)
     state = fem.solve_all(system, config.n_loads)
     obs = fem.observe(state, config.sensor_x1())
     y0 = obs.y

@@ -19,11 +19,11 @@ import scipy.sparse as sp
 
 from . import fem
 from .geometry import (BoundaryShape, InvalidShapeError,
-                       admittance_alpha_entries_from, fourier_basis,
-                       pushforward_alpha_entries_from)
+                       admittance_alpha_entries_from, admittance_factor_from,
+                       fourier_basis, pushforward_alpha_entries_from)
 from .mesh import SlabMesh
 from .priors import AlphaPrior, BetaPrior
-from .fem import _EDGE_PHI, _EDGE_W
+from .fem import _EDGE_PHI
 
 
 @dataclass
@@ -44,7 +44,7 @@ class Problem:
 
     def __init__(self, mesh: SlabMesh, p: int, alpha_prior: AlphaPrior,
                  beta_prior: BetaPrior, data: np.ndarray, noise_std: float,
-                 sensor_x1: np.ndarray, n_loads: int, sigma: float = 1.0):
+                 sensor_x1: np.ndarray, n_loads: int):
         self.ws = fem.FemWorkspace(mesh)
         self.mesh = mesh
         self.trace = self.ws.trace
@@ -59,7 +59,6 @@ class Problem:
         self.inv_noise_var = 1.0 / self.noise_std ** 2
         self.sensor_x1 = np.asarray(sensor_x1, dtype=float)
         self.n_loads = int(n_loads)
-        self.sigma = float(sigma)
         self.B = fem.bottom_interpolator(self.ws, self.sensor_x1)
         self.m_obs = self.sensor_x1.size * self.n_loads
         if self.data.shape != (self.m_obs,):
@@ -112,26 +111,19 @@ class Problem:
 
     # -- forward machinery --------------------------------------------------
 
-    def _shape_eval(self, alpha: np.ndarray):
-        """(f, df) at the volume and top-edge quadrature points."""
-        return ((1.0 + self.Vq @ alpha, self.dVq @ alpha),
-                (1.0 + self.Vt @ alpha, self.dVt @ alpha))
-
     def forward(self, m: np.ndarray) -> tuple[fem.ForwardState, np.ndarray]:
         """Assemble, solve all loads, observe.  Raises InvalidShapeError or
         fem.SolverError."""
         alpha, beta = self.split(m)
         if not np.all(np.isfinite(alpha)):
             raise InvalidShapeError("non-finite Fourier coefficients")
-        system = fem.assemble(self.ws, self.shape_of(alpha), beta, sigma=self.sigma,
-                              shape_eval=self._shape_eval(alpha))
+        # (f, df) at the volume and top-edge quadrature points
+        shape_eval = ((1.0 + self.Vq @ alpha, self.dVq @ alpha),
+                      (1.0 + self.Vt @ alpha, self.dVt @ alpha))
+        system = fem.assemble(self.ws, self.shape_of(alpha), beta, shape_eval=shape_eval)
         state = fem.ForwardState(solutions=system.solve(self.loads), system=system)
         obs = (self.B @ state.solutions).T.ravel()
         return state, obs
-
-    def _prior_terms(self, m: np.ndarray) -> float:
-        alpha, beta = self.split(m)
-        return self.alpha_prior.potential(alpha) + self.beta_prior.potential(beta)
 
     def potential(self, m: np.ndarray) -> PotentialEvaluation:
         try:
@@ -140,7 +132,8 @@ class Problem:
             return PotentialEvaluation(J=np.inf, misfit=np.inf, prior=np.nan)
         r = self.data - obs
         misfit = 0.5 * self.inv_noise_var * float(r @ r)
-        prior = self._prior_terms(m)
+        alpha, beta = self.split(m)
+        prior = self.alpha_prior.potential(alpha) + self.beta_prior.potential(beta)
         return PotentialEvaluation(J=misfit + prior, misfit=misfit, prior=prior,
                                    obs=obs, state=state)
 
@@ -149,34 +142,35 @@ class Problem:
 
     # -- sensitivities ------------------------------------------------------
 
-    def _contract(self, m: np.ndarray, U: np.ndarray, W: np.ndarray) -> np.ndarray:
-        """(P, n) contractions w_p^T (dA/dm) u_p for matching columns of the
-        (N, P) arrays U and W: the one sensitivity kernel behind the gradient
-        and the Jacobian."""
-        alpha, beta = self.split(m)
-        (f_vol, df_vol), (_, df_top) = self._shape_eval(alpha)
-        P = U.shape[1]
+    def _contract(self, system: fem.AssembledSystem, U: np.ndarray, W: np.ndarray,
+                  iu: np.ndarray, iw: np.ndarray) -> np.ndarray:
+        """(P, n) contractions w_{iw[p]}^T (dA/dm) u_{iu[p]} for the columns of
+        U and W paired by the index arrays iu, iw of length P: the one
+        sensitivity kernel behind the gradient and the Jacobian.  The profile
+        and Robin weights come from the assembly of system."""
+        (f_vol, df_vol), (_, df_top) = system.profile
+        P = iu.size
 
-        # volume part, alpha only: sigma * grad(w) . (dS/dalpha) grad(u)
+        # volume part, alpha only: grad(w) . (dS/dalpha) grad(u); each column
+        # is differentiated once, then gathered into its pairs
         _, _, d22 = pushforward_alpha_entries_from(f_vol, df_vol, self.Vq, self.dVq,
                                                    self.ws.quad_pts[..., 1])
         D22 = np.einsum("tg,tgi->ti", self.wg, d22)
-        gu = (self.grad_op @ U).reshape(2, -1, P)  # (2, T, P)
-        gw = (self.grad_op @ W).reshape(2, -1, P)
-        g_alpha = self.sigma * ((gu[0] * gw[0]).T @ self.D11c
-                                + (gu[0] * gw[1] + gu[1] * gw[0]).T @ self.D12c
-                                + (gu[1] * gw[1]).T @ D22)
+        gu = (self.grad_op @ U).reshape(2, -1, U.shape[1])[..., iu]  # (2, T, P)
+        gw = (self.grad_op @ W).reshape(2, -1, W.shape[1])[..., iw]
+        g_alpha = ((gu[0] * gw[0]).T @ self.D11c
+                   + (gu[0] * gw[1] + gu[1] * gw[0]).T @ self.D12c
+                   + (gu[1] * gw[1]).T @ D22)
 
         # boundary part: exp(beta) times the admittance factor, differentiated
         # in alpha through the factor and in beta through the trace hat functions
         edges = self.ws.top_edges
-        uw = (np.einsum("enp,gn->egp", U[edges], _EDGE_PHI)
-              * np.einsum("enp,gn->egp", W[edges], _EDGE_PHI))  # (E, 2, P)
-        wq = _EDGE_W[None, :] * self.ws.top_len[:, None] * np.exp(
-            fem.interp_trace(self.trace, beta, self.ws.top_squad))
+        uw = (np.einsum("enp,gn->egp", U[edges], _EDGE_PHI)[..., iu]
+              * np.einsum("enp,gn->egp", W[edges], _EDGE_PHI)[..., iw])  # (E, 2, P)
+        wq = system.robin
         dfac = admittance_alpha_entries_from(df_top, self.dVt, self.mesh.H)
         g_alpha += np.einsum("egp,egi->pi", uw, wq[..., None] * dfac)
-        fac = np.sqrt(1.0 + df_top ** 2 * self.mesh.H ** 2)
+        fac = admittance_factor_from(df_top, self.mesh.H)
         local = np.einsum("egp,ga->eap", uw * (wq * fac)[..., None], _EDGE_PHI)
         g_beta = np.zeros((self.q, P))
         np.add.at(g_beta, self.ws.node_to_trace[edges].ravel(), local.reshape(-1, P))
@@ -191,7 +185,8 @@ class Problem:
             raise InvalidShapeError("cannot differentiate at an invalid shape")
         r = (self.data - ev.obs).reshape(self.n_loads, -1)  # (loads, sensors)
         V = ev.state.system.solve(self.inv_noise_var * (self.B.T @ r.T))
-        g = self._contract(m, ev.state.solutions, V).sum(axis=0)
+        pairs = np.arange(self.n_loads)
+        g = self._contract(ev.state.system, ev.state.solutions, V, pairs, pairs).sum(axis=0)
         alpha, beta = self.split(m)
         g[:self.n_alpha] += self.alpha_prior.precision_diag * (alpha - self.alpha_prior.mean)
         g[self.n_alpha:] += self.beta_prior.precision @ (beta - self.beta_prior.mean)
@@ -216,8 +211,10 @@ class Problem:
         if not np.isfinite(ev.J):
             raise InvalidShapeError("cannot linearize at an invalid shape")
         W = ev.state.system.solve(self.B.T.toarray())  # (N, sensors)
-        U = np.repeat(ev.state.solutions, W.shape[1], axis=1)
-        return -self._contract(m, U, np.tile(W, self.n_loads))
+        sensors = np.arange(W.shape[1])
+        return -self._contract(ev.state.system, ev.state.solutions, W,
+                               np.repeat(np.arange(self.n_loads), sensors.size),
+                               np.tile(sensors, self.n_loads))
 
     def linearize(self, m: np.ndarray):
         """(J, predicted observations, Jacobian) in one evaluation."""

@@ -199,7 +199,6 @@ def run_chain(m_init: np.ndarray, A_init: np.ndarray, target, rng,
               check_interval: int = 5_000, mcse_threshold: float = 0.1,
               tau_init: float = 0.1, target_accept: float = 0.574,
               adapt_exponent: float = 0.6, refresh_every: int = 100,
-              adapt_after_burn_in: bool = True,
               callback=None) -> ChainOutput:
     """Burn-in with adaptation, then record every state until the batch-means
     MCSE stopping rule fires (checked every check_interval recorded steps) or
@@ -217,7 +216,6 @@ def run_chain(m_init: np.ndarray, A_init: np.ndarray, target, rng,
         ap = mala_step(state, ad, target, rng)
         adapt(ad, state.m, ap)
 
-    ad.enabled = adapt_after_burn_in
     n = m0.size
     samples = np.empty((max_steps, n))
     J_trace = np.empty(max_steps)

@@ -88,7 +88,7 @@ def test_assemble_rejects_invalid_shape():
 def test_neumann_load_zero_sum():
     mesh = build_slab_mesh(1.0, 0.05, 30, 3)
     for k in range(1, 9):
-        F = fem.neumann_load(mesh, k)
+        F = fem.neumann_load(fem.FemWorkspace(mesh), k)
         # hats sum to one on the bottom edge, and the sine integrates to zero;
         # Dirichlet zeroing removes a symmetric pair of end contributions
         assert abs(F.sum()) < 1e-10
@@ -195,3 +195,30 @@ def test_pushforward_invariance_moderate():
     deformed = fem.solve_deformed(mesh, shape, beta, 3, sensors)
     rel = (np.linalg.norm(ref.y - deformed.y) / np.linalg.norm(deformed.y))
     assert rel < 1e-3
+
+
+def test_flat_shape_deformed_solve_matches_pushforward():
+    # with f = 1 the deformed and reference geometries coincide, so both
+    # callers of the shared factorization routine build the same system
+    mesh = build_slab_mesh(1.0, 0.05, 24, 3)
+    ws = fem.FemWorkspace(mesh)
+    beta = 0.5 * np.sin(2 * np.pi * ws.trace.s)
+    sensors = (np.arange(16) + 0.5) / 16
+    ref = fem.observe(fem.solve_all(fem.assemble(ws, flat_shape(), beta), 4), sensors)
+    deformed = fem.solve_deformed(mesh, flat_shape(), beta, 4, sensors)
+    assert np.linalg.norm(ref.y - deformed.y) <= 1e-12 * np.linalg.norm(ref.y)
+
+
+def test_overflowed_robin_coefficient_raises_solver_error():
+    # exp(1000) overflows to inf and the factorization meets a singular
+    # pivot; both solvers report it as SolverError, not a raw RuntimeError
+    mesh = build_slab_mesh(1.0, 0.05, 24, 3)
+    ws = fem.FemWorkspace(mesh)
+    beta = np.zeros(ws.trace.n_nodes)
+    beta[10] = 1000.0
+    sensors = (np.arange(16) + 0.5) / 16
+    with np.errstate(over="ignore"):
+        with pytest.raises(fem.SolverError):
+            fem.assemble(ws, flat_shape(), beta)
+        with pytest.raises(fem.SolverError):
+            fem.solve_deformed(mesh, flat_shape(), beta, 2, sensors)

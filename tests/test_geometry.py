@@ -2,9 +2,15 @@ import numpy as np
 import pytest
 
 from robinshape.geometry import (BoundaryShape, InvalidShapeError,
-                                 admittance_alpha_derivative, admittance_factor,
-                                 fourier_basis, pushforward_entries,
-                                 pushforward_tensor, tensor_alpha_derivative)
+                                 admittance_alpha_entries_from, admittance_factor_from,
+                                 fourier_basis, pushforward_alpha_entries_from,
+                                 pushforward_entries_from)
+
+
+def tensor(shape, x1, x2):
+    """The symmetric 2x2 push-forward conductivity at a reference point."""
+    s11, s12, s22 = pushforward_entries_from(*shape.eval(x1), x2)
+    return np.array([[s11, s12], [s12, s22]])
 
 
 def random_shape(rng, p=4, scale=0.05, min_f=0.1):
@@ -50,23 +56,21 @@ def test_fourier_basis_ordering():
 
 def test_pushforward_identity_for_flat_shape():
     shape = BoundaryShape(alpha=np.zeros(5))
-    T = pushforward_tensor(shape, (0.4, 0.02))
+    T = tensor(shape, 0.4, 0.02)
     np.testing.assert_allclose(T, np.eye(2), atol=1e-15)
 
 
 def test_pushforward_determinant_one(rng):
     for _ in range(50):
         shape = random_shape(rng)
-        pt = (rng.uniform(0, 1), rng.uniform(0, 0.05))
-        T = pushforward_tensor(shape, pt)
+        T = tensor(shape, rng.uniform(0, 1), rng.uniform(0, 0.05))
         assert abs(np.linalg.det(T) - 1.0) <= 1e-12
 
 
 def test_pushforward_spd(rng):
     for _ in range(30):
         shape = random_shape(rng, scale=0.1)
-        pt = (rng.uniform(0, 1), rng.uniform(0, 0.05))
-        T = pushforward_tensor(shape, pt)
+        T = tensor(shape, rng.uniform(0, 1), rng.uniform(0, 0.05))
         np.testing.assert_allclose(T, T.T)
         assert np.min(np.linalg.eigvalsh(T)) > 0
 
@@ -90,19 +94,20 @@ def test_pushforward_matches_fd_jacobian(rng):
         e[j] = h
         J[:, j] = (psi(x + e) - psi(x - e)) / (2 * h)
     oracle = J @ J.T / abs(np.linalg.det(J))
-    T = pushforward_tensor(shape, (xt1, xt2))
+    T = tensor(shape, xt1, xt2)
     np.testing.assert_allclose(T, oracle, rtol=1e-6, atol=1e-8)
 
 
 def test_pushforward_rejects_nonpositive_f():
     shape = BoundaryShape(alpha=np.array([-1.5, 0.0, 0.0]))
     with pytest.raises(InvalidShapeError):
-        pushforward_entries(shape, np.array([0.5]), np.array([0.01]))
+        pushforward_entries_from(*shape.eval(np.array([0.5])), np.array([0.01]))
 
 
 def test_admittance_flat():
     shape = BoundaryShape(alpha=np.zeros(5))
-    np.testing.assert_allclose(admittance_factor(shape, np.linspace(0, 1, 7)), 1.0)
+    _, df = shape.eval(np.linspace(0, 1, 7))
+    np.testing.assert_allclose(admittance_factor_from(df, shape.H), 1.0)
 
 
 def test_admittance_slope_twenty():
@@ -110,8 +115,9 @@ def test_admittance_slope_twenty():
     alpha = np.zeros(3)
     alpha[1] = 20.0 / (2 * np.pi)  # sine term: f'(0) = alpha_1 * 2 pi
     shape = BoundaryShape(alpha=alpha, H=0.05)
-    assert np.isclose(shape.eval(0.0)[1], 20.0)
-    assert np.isclose(admittance_factor(shape, 0.0), np.sqrt(2.0))
+    _, df = shape.eval(0.0)
+    assert np.isclose(df, 20.0)
+    assert np.isclose(admittance_factor_from(df, shape.H), np.sqrt(2.0))
 
 
 def test_admittance_is_arc_length_element(rng):
@@ -122,50 +128,56 @@ def test_admittance_is_arc_length_element(rng):
     f, _ = shape.eval(grid)
     curve = np.column_stack([grid, shape.H * f])
     arc = np.sum(np.linalg.norm(np.diff(curve, axis=0), axis=1))
-    np.testing.assert_allclose(admittance_factor(shape, s), arc / ds, rtol=1e-6)
+    np.testing.assert_allclose(admittance_factor_from(shape.eval(s)[1], shape.H),
+                               arc / ds, rtol=1e-6)
 
 
 def test_admittance_at_least_one(rng):
     shape = random_shape(rng)
-    s = rng.uniform(0, 1, 50)
-    fac = admittance_factor(shape, s)
-    assert np.all(fac >= 1.0)
+    _, df = shape.eval(rng.uniform(0, 1, 50))
+    assert np.all(admittance_factor_from(df, shape.H) >= 1.0)
+
+
+def tensor_alpha_entries(shape, x1, x2):
+    """(d11, d12, d22), each with a trailing coefficient axis, at (x1, x2)."""
+    c, dc = fourier_basis(shape.p, shape.L, x1)
+    return pushforward_alpha_entries_from(*shape.eval(x1), c, dc, x2)
 
 
 def test_tensor_alpha_derivative_flat_shift():
     shape = BoundaryShape(alpha=np.zeros(5))
-    D = tensor_alpha_derivative(shape, (np.array(0.3), np.array(0.0)), 0)
-    np.testing.assert_allclose(np.asarray(D, dtype=float).reshape(2, 2),
+    d11, d12, d22 = tensor_alpha_entries(shape, np.array(0.3), np.array(0.0))
+    np.testing.assert_allclose([[d11[0], d12[0]], [d12[0], d22[0]]],
                                [[1.0, 0.0], [0.0, -1.0]], atol=1e-14)
 
 
 def test_tensor_alpha_derivative_fd(rng):
     shape = random_shape(rng)
-    xt = (np.array(0.42), np.array(0.033))
+    x1, x2 = np.array(0.42), np.array(0.033)
     h = 1e-6
+    d11, d12, d22 = tensor_alpha_entries(shape, x1, x2)
     for i in range(shape.alpha.size):
-        D = np.asarray(tensor_alpha_derivative(shape, xt, i), dtype=float).reshape(2, 2)
+        D = np.array([[d11[i], d12[i]], [d12[i], d22[i]]])
         ap, am = shape.alpha.copy(), shape.alpha.copy()
         ap[i] += h
         am[i] -= h
-        Tp = pushforward_tensor(BoundaryShape(alpha=ap), xt)
-        Tm = pushforward_tensor(BoundaryShape(alpha=am), xt)
+        Tp = tensor(BoundaryShape(alpha=ap), x1, x2)
+        Tm = tensor(BoundaryShape(alpha=am), x1, x2)
         np.testing.assert_allclose(D, (Tp - Tm) / (2 * h), rtol=1e-6, atol=1e-8)
 
 
-def test_tensor_alpha_derivative_index_check():
-    shape = BoundaryShape(alpha=np.zeros(5))
-    with pytest.raises(ValueError):
-        tensor_alpha_derivative(shape, (0.1, 0.01), 5)
+def admittance_alpha_entries(shape, s):
+    """Alpha-derivatives of the admittance factor at s, trailing coefficient axis."""
+    _, dc = fourier_basis(shape.p, shape.L, s)
+    return admittance_alpha_entries_from(shape.eval(s)[1], dc, shape.H)
 
 
 def test_admittance_alpha_derivative_trivial(rng):
     flat = BoundaryShape(alpha=np.zeros(7))
-    for i in range(7):
-        assert admittance_alpha_derivative(flat, 0.3, i) == 0.0
+    assert np.all(admittance_alpha_entries(flat, np.array(0.3)) == 0.0)
     shape = random_shape(rng)
     s = rng.uniform(0, 1, 9)
-    np.testing.assert_allclose(admittance_alpha_derivative(shape, s, 0), 0.0,
+    np.testing.assert_allclose(admittance_alpha_entries(shape, s)[:, 0], 0.0,
                                atol=1e-15)
 
 
@@ -173,14 +185,14 @@ def test_admittance_alpha_derivative_fd(rng):
     shape = random_shape(rng)
     s = np.array(0.27)
     h = 1e-6
+    d = admittance_alpha_entries(shape, s)
     for i in range(shape.alpha.size):
-        d = admittance_alpha_derivative(shape, s, i)
         ap, am = shape.alpha.copy(), shape.alpha.copy()
         ap[i] += h
         am[i] -= h
-        fd = (admittance_factor(BoundaryShape(alpha=ap), s)
-              - admittance_factor(BoundaryShape(alpha=am), s)) / (2 * h)
-        np.testing.assert_allclose(d, fd, rtol=1e-6, atol=1e-10)
+        fd = (admittance_factor_from(BoundaryShape(alpha=ap).eval(s)[1], shape.H)
+              - admittance_factor_from(BoundaryShape(alpha=am).eval(s)[1], shape.H)) / (2 * h)
+        np.testing.assert_allclose(d[i], fd, rtol=1e-6, atol=1e-10)
 
 
 def test_shape_validation():
