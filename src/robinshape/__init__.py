@@ -7,14 +7,13 @@ from .mesh import (InvalidMeshError, SlabMesh, TraceMesh, build_slab_mesh,
                    trace_of_top)
 from .fem import (AssembledSystem, ForwardState, Observation, SolverError,
                   assemble, neumann_load, observe, solve_all, solve_deformed)
-from .priors import (AlphaPrior, BetaPrior, build_alpha_prior, build_beta_prior,
-                     prior_potential, sample_prior)
+from .priors import AlphaPrior, BetaPrior, build_alpha_prior, build_beta_prior
 from .inverse import LinearGaussianProblem, Problem
 from .optimize import (GaussNewtonOptions, GaussNewtonReport,
                        LaplaceApproximation, gauss_newton, laplace)
-from .mala import (ChainOutput, ChainState, AdaptState, adapt, gelman_rubin,
-                   make_adapt_state, mala_step, mcse_batch_means, run_chain,
-                   stopping_rule)
+from .mala import (ChainOutput, ChainState, AdaptState, MalaSettings, adapt,
+                   gelman_rubin, make_adapt_state, mala_step, mcse_batch_means,
+                   run_chain, stopping_rule)
 from .harness import (ExperimentConfig, SyntheticDataset, generate_data,
                       run_map, run_mcmc, truth_profiles)
 

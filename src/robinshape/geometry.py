@@ -61,9 +61,8 @@ class BoundaryShape:
         vals, dvals = fourier_basis(self.p, self.L, x1)
         return 1.0 + vals @ self.alpha, dvals @ self.alpha
 
-    def min_f(self, n_samples: int | None = None) -> float:
-        n = n_samples or 16 * (self.p + 1)
-        f, _ = self.eval(np.linspace(0.0, self.L, n, endpoint=False))
+    def min_f(self) -> float:
+        f, _ = self.eval(np.linspace(0.0, self.L, 16 * (self.p + 1), endpoint=False))
         return float(np.min(f))
 
     def validate(self):

@@ -14,7 +14,9 @@ from scipy import stats
 from . import fem, mala, optimize
 from .geometry import BoundaryShape, SampledProfile, fourier_basis
 from .inverse import Problem
+from .mala import MalaSettings
 from .mesh import build_slab_mesh, trace_of_top
+from .optimize import GaussNewtonOptions
 from .priors import build_alpha_prior, build_beta_prior
 
 
@@ -26,25 +28,6 @@ class ConfigError(Exception):
 class MeshSpec:
     nx: int
     ny: int
-
-
-@dataclass
-class GNSettings:
-    max_iters: int = 100
-    grad_reduction: float = 1e5
-    c1: float = 1e-4
-
-
-@dataclass
-class MalaSettings:
-    burn_in: int = 10_000
-    max_steps: int = 400_000
-    check_interval: int = 5_000
-    mcse_threshold: float = 0.1
-    target_accept: float = 0.574
-    adapt_exponent: float = 0.6
-    refresh_every: int = 100
-    tau_init: float = 0.1
 
 
 @dataclass
@@ -66,7 +49,7 @@ class ExperimentConfig:
     noise_range_per_load: bool = False
     seed: int = 0
     output_dir: str = "out"
-    gn: GNSettings = field(default_factory=GNSettings)
+    gn: GaussNewtonOptions = field(default_factory=GaussNewtonOptions)
     mala: MalaSettings = field(default_factory=MalaSettings)
 
     def __post_init__(self):
@@ -89,13 +72,13 @@ class ExperimentConfig:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         kwargs = dict(d)
         nested = {"fine_mesh": MeshSpec, "inversion_mesh": MeshSpec,
-                  "gn": GNSettings, "mala": MalaSettings}
+                  "gn": GaussNewtonOptions, "mala": MalaSettings}
         try:
             for key, tp in nested.items():
                 if isinstance(kwargs.get(key), dict):
                     kwargs[key] = tp(**kwargs[key])
             return cls(**kwargs)
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
 
     def to_json(self) -> str:
@@ -137,7 +120,7 @@ def _smooth_cavity(x, center, halfwidth, steepness):
 
 
 def truth_profiles(name: str, params: dict | None = None, L: float = 1.0,
-                   n_grid: int = 4096, rng: np.random.Generator | None = None):
+                   rng: np.random.Generator | None = None):
     """Analytic truth profiles (boundary height f and log-admittance beta).
 
     Returns (boundary_profile, beta_fn) where boundary_profile has an
@@ -145,7 +128,7 @@ def truth_profiles(name: str, params: dict | None = None, L: float = 1.0,
     example2 adds white noise to both curves and needs an rng.
     """
     params = dict(params or {})
-    x = np.linspace(0.0, L, n_grid + 1)
+    x = np.linspace(0.0, L, 4096 + 1)
 
     if name == "example1":
         depth = params.get("depth", 0.2)
@@ -320,10 +303,7 @@ def run_map(config: ExperimentConfig, dataset: SyntheticDataset,
     """Gauss-Newton MAP estimate plus Laplace approximation; writes a JSON
     report and CSV envelope tables to the output directory."""
     problem = problem or build_problem(config, dataset)
-    opts = optimize.GaussNewtonOptions(max_iters=config.gn.max_iters,
-                                       grad_reduction=config.gn.grad_reduction,
-                                       c1=config.gn.c1)
-    m_map, report = optimize.gauss_newton(problem, problem.prior_mean, opts)
+    m_map, report = optimize.gauss_newton(problem, problem.prior_mean, config.gn)
     lap = optimize.laplace(problem, m_map)
 
     alpha_map, beta_map = problem.split(m_map)
@@ -388,15 +368,9 @@ def run_mcmc(config: ExperimentConfig, dataset: SyntheticDataset,
     proposal; writes the chain CSV and a summary JSON."""
     problem = map_result.problem
     rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(3)[2])
-    target = problem.potential_and_gradient
-    ms = config.mala
     output = mala.run_chain(map_result.m_map, map_result.laplace.covariance,
-                            target, rng, burn_in=ms.burn_in, max_steps=ms.max_steps,
-                            check_interval=ms.check_interval,
-                            mcse_threshold=ms.mcse_threshold, tau_init=ms.tau_init,
-                            target_accept=ms.target_accept,
-                            adapt_exponent=ms.adapt_exponent,
-                            refresh_every=ms.refresh_every)
+                            problem.potential_and_gradient, rng,
+                            **dataclasses.asdict(config.mala))
 
     cm = output.samples.mean(axis=0)
     std = output.samples.std(axis=0, ddof=1)
@@ -422,7 +396,7 @@ def run_mcmc(config: ExperimentConfig, dataset: SyntheticDataset,
         "final_tau": output.final_tau,
         "cm": cm.tolist(),
         "posterior_std": std.tolist(),
-        "mcse": output.mcse.tolist() if output.mcse is not None else None,
+        "mcse": output.mcse.tolist(),
         "mcse_halfwidth_over_std": (hw / std).tolist(),
         "beta_skewness": skew_beta.tolist(),
         "trace_s": problem.trace.s.tolist(),
@@ -433,7 +407,7 @@ def run_mcmc(config: ExperimentConfig, dataset: SyntheticDataset,
     return McmcResult(chain=output, cm=cm, summary=summary)
 
 
-def diagnose(chain_paths: list, n_alpha: int | None = None) -> dict:
+def diagnose(chain_paths: list) -> dict:
     """Gelman-Rubin and MCSE tables from saved chain CSV files."""
     chains = []
     for path in chain_paths:

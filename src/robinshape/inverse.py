@@ -92,12 +92,9 @@ class Problem:
             raise ValueError(f"parameter vector must have length {self.n}")
         return m[:self.n_alpha], m[self.n_alpha:]
 
-    def join(self, alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
-        return np.concatenate([alpha, beta])
-
     @property
     def prior_mean(self) -> np.ndarray:
-        return self.join(self.alpha_prior.mean, self.beta_prior.mean)
+        return np.concatenate([self.alpha_prior.mean, self.beta_prior.mean])
 
     @property
     def prior_precision(self) -> np.ndarray:

@@ -3,11 +3,43 @@ proposal covariance and step size, batch-means MCSE stopping, and the
 Gelman-Rubin diagnostic."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
 from scipy import stats
+
+
+# weight offset of the adaptation: keeps the early gamma small so the
+# initial proposal covariance is not wiped out by the first few updates
+_T_OFFSET = 100
+_CONFIDENCE = 0.98
+
+
+@dataclass
+class MalaSettings:
+    """run_chain's settings: exactly the keys of a config's "mala" object."""
+
+    burn_in: int = 10_000
+    max_steps: int = 400_000
+    check_interval: int = 5_000
+    mcse_threshold: float = 0.1
+    target_accept: float = 0.574
+    adapt_exponent: float = 0.6
+    refresh_every: int = 100
+    tau_init: float = 0.1
+
+    def __post_init__(self):
+        if self.burn_in < 0:
+            raise ValueError("burn_in must be non-negative")
+        if self.max_steps < 100:
+            raise ValueError("max_steps must be at least 100, the batch-means minimum")
+        if self.check_interval < 1 or self.refresh_every < 1:
+            raise ValueError("check_interval and refresh_every must be at least 1")
+        if not (self.mcse_threshold > 0 and self.tau_init > 0 and self.adapt_exponent > 0):
+            raise ValueError("mcse_threshold, tau_init and adapt_exponent must be positive")
+        if not 0 < self.target_accept < 1:
+            raise ValueError("target_accept must lie strictly between 0 and 1")
 
 
 @dataclass
@@ -23,39 +55,28 @@ class ChainState:
 @dataclass
 class AdaptState:
     """Proposal covariance A (with lower Cholesky factor) and log step size,
-    adapted with diminishing weights t^(-exponent)."""
+    adapted with diminishing weights t^(-settings.adapt_exponent)."""
 
     A: np.ndarray
     chol_A: np.ndarray
     log_tau: float
     mean: np.ndarray
     cov: np.ndarray
+    settings: MalaSettings
     t: int = 0
-    # weight offset keeps the early gamma small so the initial proposal
-    # covariance is not wiped out by the first few updates
-    t_offset: int = 100
-    target_accept: float = 0.574
-    exponent: float = 0.6
-    refresh_every: int = 100
-    enabled: bool = True
 
     @property
     def tau(self) -> float:
         return float(np.exp(self.log_tau))
 
 
-def make_adapt_state(A_init: np.ndarray, tau_init: float = 0.1,
-                     target_accept: float = 0.574, exponent: float = 0.6,
-                     refresh_every: int = 100, enabled: bool = True,
-                     mean_init: np.ndarray | None = None) -> AdaptState:
+def make_adapt_state(A_init: np.ndarray, mean_init: np.ndarray,
+                     settings: MalaSettings) -> AdaptState:
     A = np.asarray(A_init, dtype=float).copy()
-    mean = (np.zeros(A.shape[0]) if mean_init is None
-            else np.asarray(mean_init, dtype=float).copy())
     return AdaptState(A=A, chol_A=sla.cholesky(A, lower=True),
-                      log_tau=float(np.log(tau_init)),
-                      mean=mean, cov=A.copy(),
-                      target_accept=target_accept, exponent=exponent,
-                      refresh_every=refresh_every, enabled=enabled)
+                      log_tau=float(np.log(settings.tau_init)),
+                      mean=np.asarray(mean_init, dtype=float).copy(), cov=A.copy(),
+                      settings=settings)
 
 
 def _q_norm_sq(chol_A: np.ndarray, x: np.ndarray) -> float:
@@ -102,19 +123,18 @@ def adapt(adapt_state: AdaptState, sample: np.ndarray, accept_prob: float):
     The covariance uses running-average (1/t) weights, so it converges to the
     empirical covariance of the whole history; the offset acts as pseudo
     observations of the initial proposal covariance.  The step size uses the
-    faster diminishing t^(-exponent) weights."""
-    if not adapt_state.enabled:
-        return adapt_state
+    faster diminishing t^(-adapt_exponent) weights."""
+    settings = adapt_state.settings
     adapt_state.t += 1
-    t_eff = adapt_state.t + adapt_state.t_offset
+    t_eff = adapt_state.t + _T_OFFSET
     gamma_cov = 1.0 / t_eff
     d = sample - adapt_state.mean
     adapt_state.mean = adapt_state.mean + gamma_cov * d
     d2 = sample - adapt_state.mean
     adapt_state.cov = adapt_state.cov + gamma_cov * (np.outer(d2, d2) - adapt_state.cov)
-    adapt_state.log_tau += t_eff ** (-adapt_state.exponent) * (
-        accept_prob - adapt_state.target_accept)
-    if adapt_state.t % adapt_state.refresh_every == 0:
+    adapt_state.log_tau += t_eff ** (-settings.adapt_exponent) * (
+        accept_prob - settings.target_accept)
+    if adapt_state.t % settings.refresh_every == 0:
         refresh_proposal(adapt_state)
     return adapt_state
 
@@ -147,19 +167,19 @@ def mcse_batch_means(samples: np.ndarray) -> np.ndarray:
     return means.std(axis=0, ddof=1) / np.sqrt(n_b)
 
 
-def mcse_halfwidth(samples: np.ndarray, confidence: float = 0.98) -> np.ndarray:
-    """Confidence halfwidth t_{1-(1-c)/2, n_b - 1} * MCSE per coordinate."""
+def mcse_halfwidth(samples: np.ndarray) -> np.ndarray:
+    """Confidence halfwidth t_{1-(1-c)/2, n_b - 1} * MCSE per coordinate at
+    confidence c = _CONFIDENCE."""
     n = samples.shape[0]
     n_b = int(np.floor(np.sqrt(n)))
-    tcrit = stats.t.ppf(1.0 - (1.0 - confidence) / 2.0, n_b - 1)
+    tcrit = stats.t.ppf(1.0 - (1.0 - _CONFIDENCE) / 2.0, n_b - 1)
     return tcrit * mcse_batch_means(samples)
 
 
-def stopping_rule(samples: np.ndarray, threshold: float = 0.1,
-                  confidence: float = 0.98) -> bool:
+def stopping_rule(samples: np.ndarray, threshold: float) -> bool:
     """True iff every coordinate's MCSE halfwidth is below threshold times the
     (empirical) posterior standard deviation."""
-    hw = mcse_halfwidth(samples, confidence=confidence)
+    hw = mcse_halfwidth(samples)
     std = samples.std(axis=0, ddof=1)
     return bool(np.all(hw < threshold * std))
 
@@ -182,8 +202,7 @@ class ChainOutput:
     J_trace: np.ndarray
     accept_flags: np.ndarray
     acceptance_rate_trace: list
-    mcse: np.ndarray | None
-    posterior_std: np.ndarray | None
+    mcse: np.ndarray
     converged: bool
     n_burn_in: int
     n_recorded: int
@@ -195,37 +214,33 @@ class ChainOutput:
 
 
 def run_chain(m_init: np.ndarray, A_init: np.ndarray, target, rng,
-              burn_in: int = 10_000, max_steps: int = 500_000,
-              check_interval: int = 5_000, mcse_threshold: float = 0.1,
-              tau_init: float = 0.1, target_accept: float = 0.574,
-              adapt_exponent: float = 0.6, refresh_every: int = 100,
-              callback=None) -> ChainOutput:
+              **settings) -> ChainOutput:
     """Burn-in with adaptation, then record every state until the batch-means
     MCSE stopping rule fires (checked every check_interval recorded steps) or
-    max_steps recorded steps are reached."""
+    max_steps recorded steps are reached.  The keyword arguments are the
+    fields of MalaSettings."""
+    s = MalaSettings(**settings)
     m0 = np.asarray(m_init, dtype=float).copy()
     J0, g0 = target(m0)
     if not np.isfinite(J0):
         raise ValueError("initial chain state has infinite potential")
     state = ChainState(m=m0, J=J0, grad=g0)
-    ad = make_adapt_state(A_init, tau_init=tau_init, target_accept=target_accept,
-                          exponent=adapt_exponent, refresh_every=refresh_every,
-                          mean_init=m0)
+    ad = make_adapt_state(A_init, m0, s)
 
-    for _ in range(burn_in):
+    for _ in range(s.burn_in):
         ap = mala_step(state, ad, target, rng)
         adapt(ad, state.m, ap)
 
     n = m0.size
-    samples = np.empty((max_steps, n))
-    J_trace = np.empty(max_steps)
-    accept_flags = np.zeros(max_steps, dtype=bool)
+    samples = np.empty((s.max_steps, n))
+    J_trace = np.empty(s.max_steps)
+    accept_flags = np.zeros(s.max_steps, dtype=bool)
     rate_trace = []
     converged = False
     recorded = 0
     accepted_before = state.n_accepted
 
-    while recorded < max_steps:
+    while recorded < s.max_steps:
         ap = mala_step(state, ad, target, rng)
         adapt(ad, state.m, ap)
         samples[recorded] = state.m
@@ -233,21 +248,16 @@ def run_chain(m_init: np.ndarray, A_init: np.ndarray, target, rng,
         accept_flags[recorded] = state.n_accepted > accepted_before
         accepted_before = state.n_accepted
         recorded += 1
-        if recorded % check_interval == 0:
+        if recorded % s.check_interval == 0:
             window = samples[:recorded]
             rate_trace.append((recorded, float(np.mean(accept_flags[:recorded]))))
-            if callback is not None:
-                callback(recorded, state, ad)
-            if recorded >= 100 and stopping_rule(window, threshold=mcse_threshold):
+            if recorded >= 100 and stopping_rule(window, threshold=s.mcse_threshold):
                 converged = True
                 break
 
     samples = samples[:recorded]
-    J_trace = J_trace[:recorded]
-    accept_flags = accept_flags[:recorded]
-    mcse = mcse_batch_means(samples) if recorded >= 100 else None
-    std = samples.std(axis=0, ddof=1) if recorded >= 2 else None
-    return ChainOutput(samples=samples, J_trace=J_trace, accept_flags=accept_flags,
-                       acceptance_rate_trace=rate_trace, mcse=mcse,
-                       posterior_std=std, converged=converged,
-                       n_burn_in=burn_in, n_recorded=recorded, final_tau=ad.tau)
+    return ChainOutput(samples=samples, J_trace=J_trace[:recorded],
+                       accept_flags=accept_flags[:recorded],
+                       acceptance_rate_trace=rate_trace,
+                       mcse=mcse_batch_means(samples), converged=converged,
+                       n_burn_in=s.burn_in, n_recorded=recorded, final_tau=ad.tau)

@@ -8,17 +8,29 @@ import numpy as np
 import scipy.linalg as sla
 
 
+_BACKTRACK_FACTOR = 0.5
+_MIN_STEP = 1e-14
+# declare convergence when no decrease beyond roundoff scale is possible
+# (covers restarts at an already-converged point, where a purely relative
+# gradient-reduction rule can never fire again)
+_STATIONARY_TOL = 1e-15
+
+
 @dataclass
 class GaussNewtonOptions:
+    """gauss_newton's settings: exactly the keys of a config's "gn" object."""
+
     max_iters: int = 100
     grad_reduction: float = 1e5
     c1: float = 1e-4
-    backtrack_factor: float = 0.5
-    min_step: float = 1e-14
-    # declare convergence when no decrease beyond roundoff scale is possible
-    # (covers restarts at an already-converged point, where a purely relative
-    # gradient-reduction rule can never fire again)
-    stationary_tol: float = 1e-15
+
+    def __post_init__(self):
+        if self.max_iters < 0:
+            raise ValueError("max_iters must be non-negative")
+        if not self.grad_reduction >= 1:
+            raise ValueError("grad_reduction must be at least 1")
+        if not 0 < self.c1 < 1:
+            raise ValueError("c1 must lie strictly between 0 and 1")
 
 
 @dataclass
@@ -74,52 +86,43 @@ def gauss_newton(problem, m0: np.ndarray,
     gnorm0 = float(np.linalg.norm(grad))
     gtol = gnorm0 / opts.grad_reduction
 
-    for it in range(opts.max_iters):
+    for it in range(opts.max_iters + 1):
         gnorm = float(np.linalg.norm(grad))
         report.J_values.append(J)
         report.grad_norms.append(gnorm)
+        if it > 0 and J_prev - J <= _STATIONARY_TOL * (1.0 + abs(J_prev)):
+            report.reason = "stationary point"
+            break
         if gnorm <= gtol:
-            report.converged = True
             report.reason = "gradient reduction reached"
-            report.n_iters = it
-            return m, report
+            break
+        if it == opts.max_iters:
+            report.reason = "iteration cap"
+            break
 
         delta = sla.solve(H, -grad, assume_a="pos")
         slope = float(grad @ delta)
-        if -slope <= opts.stationary_tol * (1.0 + abs(J)):
-            report.converged = True
+        if -slope <= _STATIONARY_TOL * (1.0 + abs(J)):
             report.reason = "stationary point"
-            report.n_iters = it
-            return m, report
+            break
 
         step = 1.0
-        while True:
+        while step >= _MIN_STEP:
             trial = m + step * delta
             J_trial = problem.potential_value(trial)
             if np.isfinite(J_trial) and J_trial <= J + opts.c1 * step * slope:
                 break
-            step *= opts.backtrack_factor
-            if step < opts.min_step:
-                report.reason = "line-search failure"
-                report.n_iters = it
-                return m, report
+            step *= _BACKTRACK_FACTOR
+        else:  # no acceptable step down to _MIN_STEP
+            report.reason = "line-search failure"
+            break
         report.step_sizes.append(step)
         m = trial
         J_prev = J
         J, grad, H = _gn_system(problem, m)
-        if J_prev - J <= opts.stationary_tol * (1.0 + abs(J_prev)):
-            report.J_values.append(J)
-            report.grad_norms.append(float(np.linalg.norm(grad)))
-            report.converged = True
-            report.reason = "stationary point"
-            report.n_iters = it + 1
-            return m, report
 
-    report.J_values.append(J)
-    report.grad_norms.append(float(np.linalg.norm(grad)))
-    report.converged = float(np.linalg.norm(grad)) <= gtol
-    report.reason = "gradient reduction reached" if report.converged else "iteration cap"
-    report.n_iters = opts.max_iters
+    report.converged = report.reason in ("gradient reduction reached", "stationary point")
+    report.n_iters = it
     return m, report
 
 

@@ -39,8 +39,6 @@ class BetaPrior:
     mean: np.ndarray
     precision: np.ndarray          # dense (q, q), includes the delta_beta^2 scaling
     chol_precision: np.ndarray     # lower Cholesky factor of the precision
-    delta_beta2: float
-    corr_l: float
 
     @property
     def n(self) -> int:
@@ -62,16 +60,13 @@ class BetaPrior:
                                                 lower=True, trans="T")
 
 
-def build_alpha_prior(p: int, sigma_alpha2: float, s_alpha: float,
-                      mean: np.ndarray | None = None) -> AlphaPrior:
+def build_alpha_prior(p: int, sigma_alpha2: float, s_alpha: float) -> AlphaPrior:
     """Frequency-n coefficient pairs get variance sigma_alpha2 * (n+1)^s_alpha."""
     if sigma_alpha2 <= 0:
         raise ValueError("sigma_alpha2 must be positive")
     n_freq = np.concatenate([[0], np.repeat(np.arange(1, p + 1), 2)])
     variances = sigma_alpha2 * (n_freq + 1.0) ** s_alpha
-    if mean is None:
-        mean = np.zeros(2 * p + 1)
-    return AlphaPrior(mean=np.asarray(mean, dtype=float), variances=variances)
+    return AlphaPrior(mean=np.zeros(2 * p + 1), variances=variances)
 
 
 def trace_fem_matrices(trace: TraceMesh):
@@ -93,8 +88,7 @@ def trace_fem_matrices(trace: TraceMesh):
     return K, M
 
 
-def build_beta_prior(trace: TraceMesh, delta_beta2: float, corr_l: float,
-                     mean: np.ndarray | None = None) -> BetaPrior:
+def build_beta_prior(trace: TraceMesh, delta_beta2: float, corr_l: float) -> BetaPrior:
     """Covariance delta_beta^2 (K + l^2 M + R)^{-1} with the rank-2 endpoint
     correction R = l * (e_first e_first^T + e_last e_last^T)."""
     if delta_beta2 <= 0 or corr_l <= 0:
@@ -105,23 +99,6 @@ def build_beta_prior(trace: TraceMesh, delta_beta2: float, corr_l: float,
     A[-1, -1] += corr_l
     precision = A / delta_beta2
     chol = sla.cholesky(precision, lower=True)
-    if mean is None:
-        mean = np.zeros(trace.n_nodes)
-    return BetaPrior(mean=np.asarray(mean, dtype=float), precision=precision,
-                     chol_precision=chol, delta_beta2=float(delta_beta2),
-                     corr_l=float(corr_l))
+    return BetaPrior(mean=np.zeros(trace.n_nodes), precision=precision,
+                     chol_precision=chol)
 
-
-def prior_potential(alpha_prior: AlphaPrior, beta_prior: BetaPrior,
-                    alpha: np.ndarray, beta: np.ndarray) -> float:
-    """Joint quadratic potential 0.5 |a - a*|^2_prec + 0.5 |b - b*|^2_prec."""
-    alpha = np.asarray(alpha, dtype=float)
-    beta = np.asarray(beta, dtype=float)
-    if alpha.shape != alpha_prior.mean.shape or beta.shape != beta_prior.mean.shape:
-        raise ValueError("parameter block dimensions do not match the priors")
-    return alpha_prior.potential(alpha) + beta_prior.potential(beta)
-
-
-def sample_prior(prior, rng: np.random.Generator, xi: np.ndarray | None = None):
-    """Draw mean + factor * xi from an AlphaPrior or BetaPrior."""
-    return prior.sample(rng, xi=xi)

@@ -41,12 +41,29 @@ def test_config_roundtrip_and_defaults():
 def test_config_rejects_unknown_keys():
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict({"n_loads": 8, "bogus": 1})
-    with pytest.raises(ConfigError):
-        ExperimentConfig.from_dict({"fine_mesh": {"nx": 10, "ny": 2, "nz": 3}})
+    # nested keys, including options that are constants of the algorithms
+    for d in ({"fine_mesh": {"nx": 10, "ny": 2, "nz": 3}},
+              {"gn": {"stationary_tol": 1e-12}}, {"gn": {"backtrack_factor": 0.5}},
+              {"mala": {"enabled": False}}):
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict(d)
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict({"L": -1.0})
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict({"n_sensors": 0})
+
+
+def test_out_of_range_settings_rejected_before_any_work(tmp_path):
+    out = tmp_path / "out"
+    for bad in ({"mala": {"check_interval": 0}}, {"mala": {"refresh_every": 0}},
+                {"mala": {"tau_init": 0.0}}, {"gn": {"c1": 0.0}}):
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict(bad)
+        path = str(tmp_path / "bad.json")
+        with open(path, "w") as fh:
+            json.dump({**bad, "output_dir": str(out)}, fh)
+        assert cli.main(["generate-data", "--config", path]) == 1
+    assert not out.exists()
 
 
 def test_atomic_write_mode_follows_umask(tmp_path):

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from robinshape.geometry import InvalidShapeError
-from robinshape.priors import prior_potential
 
 from conftest import random_valid_parameters, self_consistent_problem, small_problem
 
@@ -12,7 +11,7 @@ def test_parameter_layout():
     assert prob.n == prob.n_alpha + prob.q
     m = np.arange(prob.n, dtype=float)
     a, b = prob.split(m)
-    np.testing.assert_array_equal(prob.join(a, b), m)
+    np.testing.assert_array_equal(np.concatenate([a, b]), m)
     with pytest.raises(ValueError):
         prob.split(m[:-1])
 
@@ -25,7 +24,7 @@ def test_potential_recomposition(rng):
     r = prob.data - obs
     misfit = 0.5 * float(r @ r) / prob.noise_std ** 2
     alpha, beta = prob.split(m)
-    prior = prior_potential(prob.alpha_prior, prob.beta_prior, alpha, beta)
+    prior = prob.alpha_prior.potential(alpha) + prob.beta_prior.potential(beta)
     assert abs(ev.J - (misfit + prior)) <= 1e-12 * ev.J
     assert np.isclose(ev.misfit, misfit) and np.isclose(ev.prior, prior)
 
@@ -39,7 +38,7 @@ def test_noise_scaling_quarters_misfit(rng):
 
 def test_self_consistent_minimum():
     prob, m_true = self_consistent_problem()
-    ev = prob.potential(prob.join(*prob.split(m_true)))
+    ev = prob.potential(np.concatenate(prob.split(m_true)))
     assert ev.misfit == 0.0
     # gradient at the truth is the pure prior gradient
     g = prob.gradient(m_true)

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from robinshape.mala import (ChainState, _q_norm_sq, adapt, gelman_rubin,
-                             make_adapt_state, mala_step, mcse_batch_means,
-                             mcse_halfwidth, run_chain, stopping_rule)
+from robinshape.mala import (ChainState, MalaSettings, _q_norm_sq, adapt,
+                             gelman_rubin, make_adapt_state, mala_step,
+                             mcse_batch_means, mcse_halfwidth, run_chain,
+                             stopping_rule)
 
 
 def gaussian_target(mean, cov):
@@ -37,7 +38,7 @@ def test_flat_target_always_accepts():
         return 0.0, np.zeros_like(m)
 
     rng = np.random.default_rng(1)
-    ad = make_adapt_state(np.eye(3), tau_init=0.5, enabled=False)
+    ad = make_adapt_state(np.eye(3), np.zeros(3), MalaSettings(tau_init=0.5))
     state = fresh_state(np.zeros(3), target)
     for _ in range(50):
         ap = mala_step(state, ad, target, rng)
@@ -50,7 +51,7 @@ def test_drift_only_proposal():
     mean = np.array([1.0, -2.0])
     target = gaussian_target(mean, np.eye(2))
     rng = np.random.default_rng(2)
-    ad = make_adapt_state(np.diag([2.0, 0.5]), tau_init=0.05, enabled=False)
+    ad = make_adapt_state(np.diag([2.0, 0.5]), np.zeros(2), MalaSettings(tau_init=0.05))
     m0 = np.array([3.0, 3.0])
     state = fresh_state(m0, target)
     expected = m0 - ad.tau * ad.A @ state.grad
@@ -67,7 +68,7 @@ def test_invalid_proposal_auto_rejects():
         return 0.0, np.zeros_like(m)
 
     rng = np.random.default_rng(3)
-    ad = make_adapt_state(np.eye(1), tau_init=0.5, enabled=False)
+    ad = make_adapt_state(np.eye(1), np.zeros(1), MalaSettings(tau_init=0.5))
     state = fresh_state(np.array([1.49]), target)
     m_before = state.m.copy()
     rejected = 0
@@ -85,7 +86,7 @@ def test_invalid_proposal_auto_rejects():
 def test_one_dim_standard_normal_moments():
     target = gaussian_target(np.zeros(1), np.eye(1))
     rng = np.random.default_rng(4)
-    ad = make_adapt_state(np.eye(1), tau_init=0.01, enabled=False)
+    ad = make_adapt_state(np.eye(1), np.zeros(1), MalaSettings(tau_init=0.01))
     state = fresh_state(np.zeros(1), target)
     n = 60_000
     xs = np.empty(n)
@@ -107,7 +108,7 @@ def test_detailed_balance_frozen_proposal():
     cov = np.array([[1.0, 0.6], [0.6, 1.0]])
     target = gaussian_target(np.zeros(2), cov)
     rng = np.random.default_rng(5)
-    ad = make_adapt_state(cov, tau_init=0.4, enabled=False)
+    ad = make_adapt_state(cov, np.zeros(2), MalaSettings(tau_init=0.4))
     state = fresh_state(np.zeros(2), target)
     n = 120_000
     xs = np.empty((n, 2))
@@ -119,12 +120,12 @@ def test_detailed_balance_frozen_proposal():
 
 
 def test_step_size_adaptation_direction():
-    ad = make_adapt_state(np.eye(2), tau_init=0.1)
+    ad = make_adapt_state(np.eye(2), np.zeros(2), MalaSettings(tau_init=0.1))
     lt0 = ad.log_tau
     for _ in range(50):
         adapt(ad, np.zeros(2), accept_prob=1.0)
     assert ad.log_tau > lt0  # accepting everything drives the step size up
-    ad2 = make_adapt_state(np.eye(2), tau_init=0.1)
+    ad2 = make_adapt_state(np.eye(2), np.zeros(2), MalaSettings(tau_init=0.1))
     for _ in range(50):
         adapt(ad2, np.zeros(2), accept_prob=0.0)
     assert ad2.log_tau < lt0
@@ -134,19 +135,12 @@ def test_covariance_adaptation_converges():
     rng = np.random.default_rng(6)
     C_true = np.array([[2.0, -0.8], [-0.8, 1.0]])
     L = sla.cholesky(C_true, lower=True)
-    ad = make_adapt_state(np.eye(2), tau_init=0.1, refresh_every=100)
+    ad = make_adapt_state(np.eye(2), np.zeros(2),
+                          MalaSettings(tau_init=0.1, refresh_every=100))
     for _ in range(100_000):
         adapt(ad, L @ rng.standard_normal(2), accept_prob=0.574)
     err = np.linalg.norm(ad.A - C_true) / np.linalg.norm(C_true)
     assert err < 0.05
-
-
-def test_disabled_adaptation_is_frozen():
-    ad = make_adapt_state(np.eye(2), tau_init=0.3, enabled=False)
-    A0, lt0, t0 = ad.A.copy(), ad.log_tau, ad.t
-    adapt(ad, np.array([5.0, -5.0]), accept_prob=1.0)
-    np.testing.assert_array_equal(ad.A, A0)
-    assert ad.log_tau == lt0 and ad.t == t0
 
 
 def test_mcse_iid_and_constant():
@@ -207,7 +201,7 @@ def test_run_chain_gaussian_converges():
     std = np.sqrt(np.diag(cov))
     assert np.all(np.abs(out.samples.mean(axis=0) - mean) < 0.1 * std)
     assert 0.3 < out.acceptance_rate < 0.85
-    assert out.mcse is not None and out.n_recorded == out.samples.shape[0]
+    assert out.mcse.shape == (3,) and out.n_recorded == out.samples.shape[0]
 
 
 def test_run_chain_rejects_invalid_start():

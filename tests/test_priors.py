@@ -4,7 +4,6 @@ import scipy.linalg as sla
 
 from robinshape.mesh import build_slab_mesh, trace_of_top
 from robinshape.priors import (build_alpha_prior, build_beta_prior,
-                               prior_potential, sample_prior,
                                trace_fem_matrices)
 
 
@@ -66,14 +65,14 @@ def test_prior_potential_values():
     trace = make_trace(nx=10)
     ap = build_alpha_prior(3, 0.01, -1.0)
     bp = build_beta_prior(trace, 50.0, 10.0)
-    assert prior_potential(ap, bp, ap.mean, bp.mean) == 0.0
+    assert ap.potential(ap.mean) + bp.potential(bp.mean) == 0.0
 
     rng = np.random.default_rng(1)
     a = rng.standard_normal(7)
     b = rng.standard_normal(trace.n_nodes)
-    v1 = prior_potential(ap, bp, a, b)
+    v1 = ap.potential(a) + bp.potential(b)
     # doubling the alpha offset quadruples the alpha term
-    v2 = prior_potential(ap, bp, 2 * a, b)
+    v2 = ap.potential(2 * a) + bp.potential(b)
     beta_term = bp.potential(b)
     np.testing.assert_allclose(v2 - beta_term, 4 * (v1 - beta_term), rtol=1e-12)
     # dense quadratic-form oracle
@@ -81,7 +80,7 @@ def test_prior_potential_values():
               + 0.5 * b @ bp.precision @ b)
     np.testing.assert_allclose(v1, oracle, rtol=1e-10)
     with pytest.raises(ValueError):
-        prior_potential(ap, bp, a[:-1], b)
+        ap.potential(a[:-1])
 
 
 def test_sampling_mean_and_degenerate_draw():
@@ -89,15 +88,15 @@ def test_sampling_mean_and_degenerate_draw():
     ap = build_alpha_prior(3, 0.01, -1.0)
     bp = build_beta_prior(trace, 50.0, 10.0)
     rng = np.random.default_rng(0)
-    np.testing.assert_allclose(sample_prior(ap, rng, xi=np.zeros(7)), ap.mean)
-    np.testing.assert_allclose(sample_prior(bp, rng, xi=np.zeros(trace.n_nodes)),
+    np.testing.assert_allclose(ap.sample(rng, xi=np.zeros(7)), ap.mean)
+    np.testing.assert_allclose(bp.sample(rng, xi=np.zeros(trace.n_nodes)),
                                bp.mean)
 
 
 def test_alpha_sampling_variance_monte_carlo():
     ap = build_alpha_prior(7, 0.01, -1.0)
     rng = np.random.default_rng(42)
-    draws = np.array([sample_prior(ap, rng) for _ in range(100_000)])
+    draws = np.array([ap.sample(rng) for _ in range(100_000)])
     np.testing.assert_allclose(draws.var(axis=0, ddof=1), ap.variances, rtol=0.03)
 
 
@@ -105,7 +104,7 @@ def test_beta_sampling_covariance_monte_carlo():
     trace = make_trace(nx=24)
     bp = build_beta_prior(trace, 50.0, 10.0)
     rng = np.random.default_rng(7)
-    draws = np.array([sample_prior(bp, rng) for _ in range(10_000)])
+    draws = np.array([bp.sample(rng) for _ in range(10_000)])
     np.testing.assert_allclose(draws.var(axis=0, ddof=1), np.diag(bp.covariance),
                                rtol=0.10)
 
@@ -120,7 +119,7 @@ def test_increments_shrink_with_correlation_length():
         C = bp.covariance
         d = np.arange(trace.n_nodes - 1)
         exact.append(np.mean(C[d, d] + C[d + 1, d + 1] - 2 * C[d, d + 1]))
-        draws = np.array([sample_prior(bp, rng) for _ in range(2000)])
+        draws = np.array([bp.sample(rng) for _ in range(2000)])
         mc.append(np.mean(np.diff(draws, axis=1) ** 2))
     assert exact[0] > exact[1] > exact[2]
     assert mc[0] > mc[1] > mc[2]
