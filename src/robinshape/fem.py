@@ -2,8 +2,10 @@
 
 Volume terms use a 3-point (degree-2 exact) barycentric Gauss rule, edge
 terms a 2-point Gauss rule.  Dirichlet side conditions are imposed by
-elimination so the reduced system stays symmetric positive definite; one
-sparse LU factorization is shared by all loads and adjoint solves.
+elimination so the reduced system stays symmetric positive definite.  The
+free nodes are numbered column by column (x1 first), which keeps the reduced
+system banded with half-bandwidth ny + 2; one banded Cholesky factorization
+is shared by all loads and adjoint solves.
 
 `assemble` (push-forward tensor on the reference slab) and the verification
 path `solve_deformed` (isotropic operator on the stretched mesh, chord lengths
@@ -14,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as la
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .geometry import (InvalidShapeError, admittance_factor_from,
                        pushforward_entries_from)
@@ -65,7 +67,10 @@ class FemWorkspace:
         self.dirichlet = np.flatnonzero((x1 == 0.0) | (x1 == mesh.L))
         free_mask = np.ones(mesh.n_nodes, dtype=bool)
         free_mask[self.dirichlet] = False
-        self.free = np.flatnonzero(free_mask)
+        # column-major order keeps the reduced system banded; it also holds on
+        # the deformed mesh, where x1 is unchanged and x2 scales by f > 0
+        free = np.flatnonzero(free_mask)
+        self.free = free[np.lexsort((mesh.nodes[free, 1], x1[free]))]
         self.full_to_free = -np.ones(mesh.n_nodes, dtype=np.int64)
         self.full_to_free[self.free] = np.arange(self.free.size)
 
@@ -73,17 +78,21 @@ class FemWorkspace:
         self.node_to_trace = -np.ones(mesh.n_nodes, dtype=np.int64)
         self.node_to_trace[self.trace.parent_nodes] = np.arange(self.trace.n_nodes)
 
-        # top-edge quadrature and the scatter pattern of the reduced system,
-        # so every assembly is one scatter with no full-matrix subsetting
+        # top-edge quadrature and the scatter pattern of the reduced system
+        # into LAPACK upper banded storage, so every assembly is one bincount.
+        # The local matrices are exactly symmetric, so the upper triangle
+        # (r <= c) holds all of the system.
         self.top_squad, self.top_len = self.edge_quad(self.top_edges)
         tri = mesh.triangles
         rows = np.concatenate([np.repeat(tri, 3, axis=1).ravel(),
                                np.repeat(self.top_edges, 2, axis=1).ravel()])
         cols = np.concatenate([np.tile(tri, (1, 3)).ravel(),
                                np.tile(self.top_edges, (1, 2)).ravel()])
-        self.asm_keep = free_mask[rows] & free_mask[cols]
-        self.asm_rows = self.full_to_free[rows[self.asm_keep]]
-        self.asm_cols = self.full_to_free[cols[self.asm_keep]]
+        r, c = self.full_to_free[rows], self.full_to_free[cols]
+        self.asm_keep = free_mask[rows] & free_mask[cols] & (r <= c)
+        r, c = r[self.asm_keep], c[self.asm_keep]
+        self.band_u = int(np.max(c - r, initial=0))
+        self.band_index = (self.band_u + r - c) * self.free.size + c
 
     def _sorted_edges(self, edges: np.ndarray) -> np.ndarray:
         # orient each edge so x1 increases, then order edges by x1
@@ -103,13 +112,15 @@ class FemWorkspace:
 
 @dataclass
 class AssembledSystem:
-    """Reduced SPD system with its factorization.  profile ((f, df) at the
-    volume and at the top-edge quadrature points) and robin (exp(beta) * w_g
-    * len at the top-edge quadrature points) are kept for the sensitivity
-    kernel; the deformed-domain system carries neither."""
+    """Reduced SPD system in upper banded storage (band[u + i - j, j] =
+    A[i, j] for i <= j, free nodes in ws.free order) with its banded Cholesky
+    factor.  profile ((f, df) at the volume and at the top-edge quadrature
+    points) and robin (exp(beta) * w_g * len at the top-edge quadrature
+    points) are kept for the sensitivity kernel; the deformed-domain system
+    carries neither."""
 
-    A_free: sp.csc_matrix
-    factor: spla.SuperLU
+    band: np.ndarray
+    chol: np.ndarray
     ws: FemWorkspace
     profile: tuple | None = None
     robin: np.ndarray | None = None
@@ -122,7 +133,7 @@ class AssembledSystem:
         rhs = np.asarray(rhs_full, dtype=float)
         squeeze = rhs.ndim == 1
         rhs = rhs.reshape(rhs.shape[0], -1)
-        u_free = self.factor.solve(rhs[self.ws.free])
+        u_free = la.cho_solve_banded((self.chol, False), rhs[self.ws.free])
         u = np.zeros_like(rhs)
         u[self.ws.free] = u_free
         return u[:, 0] if squeeze else u
@@ -146,22 +157,22 @@ def _factor(ws: FemWorkspace, S11, S12, S22, wq):
 
     S11, S12, S22 are the per-triangle integrals (T,) of the conductivity
     entries, wq the Robin weights at the top-edge quadrature points (E, 2).
-    Returns (A_free, factor).
+    Returns (band, chol), the upper banded system and its Cholesky factor.
     """
     k_loc = (S11[:, None, None] * ws.K11 + S12[:, None, None] * ws.K12
              + S22[:, None, None] * ws.K22)
     m_loc = np.einsum("eg,ga,gb->eab", wq, _EDGE_PHI, _EDGE_PHI)
     data = np.concatenate([k_loc.ravel(), m_loc.ravel()])[ws.asm_keep]
-    nf = ws.free.size
-    A_free = sp.csc_matrix((data, (ws.asm_rows, ws.asm_cols)), shape=(nf, nf))
-    # the local matrices are exactly symmetric but duplicate summation order
-    # is not; restore bitwise symmetry for the factorization
-    A_free = ((A_free + A_free.T) * 0.5).tocsc()
+    shape = (ws.band_u + 1, ws.free.size)
+    band = np.bincount(ws.band_index, weights=data,
+                       minlength=shape[0] * shape[1]).reshape(shape)
     try:
-        factor = spla.splu(A_free)
-    except RuntimeError as exc:
-        raise SolverError(f"sparse factorization failed: {exc}") from exc
-    return A_free, factor
+        chol = la.cholesky_banded(band)
+    except ValueError as exc:
+        # non-finite entries (an overflowed exp(beta)), or LinAlgError, a
+        # ValueError subclass: the system is not positive definite
+        raise SolverError(f"banded Cholesky factorization failed: {exc}") from exc
+    return band, chol
 
 
 def assemble(ws: FemWorkspace, shape, beta: np.ndarray,
@@ -191,10 +202,10 @@ def assemble(ws: FemWorkspace, shape, beta: np.ndarray,
     w = ws.areas / 3.0
     coeff = np.exp(np.interp(ws.top_squad, ws.trace.s, beta))
     lw = _EDGE_W[None, :] * ws.top_len[:, None]
-    A_free, factor = _factor(ws, w * np.sum(s11, axis=1), w * np.sum(s12, axis=1),
-                             w * np.sum(s22, axis=1),
-                             coeff * admittance_factor_from(df_top, ws.mesh.H) * lw)
-    return AssembledSystem(A_free=A_free, factor=factor, ws=ws,
+    band, chol = _factor(ws, w * np.sum(s11, axis=1), w * np.sum(s12, axis=1),
+                         w * np.sum(s22, axis=1),
+                         coeff * admittance_factor_from(df_top, ws.mesh.H) * lw)
+    return AssembledSystem(band=band, chol=chol, ws=ws,
                            profile=((f_vol, df_vol), (f_top, df_top)), robin=coeff * lw)
 
 
@@ -274,6 +285,6 @@ def solve_deformed(mesh: SlabMesh, shape, beta: np.ndarray, n_loads: int,
     # the deformed trace keeps the reference x1 parameterisation of beta
     wq = np.exp(np.interp(ws.top_squad, ws.trace.s, np.asarray(beta, dtype=float))) * (
         _EDGE_W[None, :] * lengths[:, None])
-    A_free, factor = _factor(ws, ws.areas, np.zeros_like(ws.areas), ws.areas, wq)
-    state = solve_all(AssembledSystem(A_free=A_free, factor=factor, ws=ws), n_loads)
+    band, chol = _factor(ws, ws.areas, np.zeros_like(ws.areas), ws.areas, wq)
+    state = solve_all(AssembledSystem(band=band, chol=chol, ws=ws), n_loads)
     return observe(state, sensor_x1)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import numbers
 import os
 import tempfile
 from dataclasses import dataclass, field
@@ -28,6 +29,13 @@ class ConfigError(Exception):
 class MeshSpec:
     nx: int
     ny: int
+
+    def __post_init__(self):
+        if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool)
+                   for v in (self.nx, self.ny)):
+            raise ValueError("mesh nx and ny must be integers")
+        if self.nx < 1 or self.ny < 1:
+            raise ValueError("mesh nx and ny must be at least 1")
 
 
 @dataclass

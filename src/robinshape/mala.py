@@ -3,6 +3,7 @@ proposal covariance and step size, batch-means MCSE stopping, and the
 Gelman-Rubin diagnostic."""
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,10 @@ class MalaSettings:
     tau_init: float = 0.1
 
     def __post_init__(self):
+        counts = (self.burn_in, self.max_steps, self.check_interval, self.refresh_every)
+        if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in counts):
+            raise ValueError("burn_in, max_steps, check_interval and refresh_every "
+                             "must be integers")
         if self.burn_in < 0:
             raise ValueError("burn_in must be non-negative")
         if self.max_steps < 100:

@@ -2,6 +2,7 @@
 Gaussian (Laplace) posterior approximation at the MAP point."""
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +26,8 @@ class GaussNewtonOptions:
     c1: float = 1e-4
 
     def __post_init__(self):
+        if not isinstance(self.max_iters, numbers.Integral) or isinstance(self.max_iters, bool):
+            raise ValueError("max_iters must be an integer")
         if self.max_iters < 0:
             raise ValueError("max_iters must be non-negative")
         if not self.grad_reduction >= 1:

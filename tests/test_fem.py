@@ -27,13 +27,25 @@ def hand_stiffness(mesh):
     return A
 
 
+def banded_upper(band):
+    """Dense upper triangle of a matrix in LAPACK upper banded storage."""
+    u, n = band.shape[0] - 1, band.shape[1]
+    return sum(np.diag(band[u - d, d:], d) for d in range(u + 1))
+
+
+def dense(system):
+    """The reduced system of an AssembledSystem as a dense symmetric matrix."""
+    upper = banded_upper(system.band)
+    return upper + np.triu(upper, 1).T
+
+
 def test_flat_assembly_matches_hand_stiffness():
     mesh = build_slab_mesh(1.0, 0.05, 3, 1)
     ws = fem.FemWorkspace(mesh)
     beta = np.full(ws.trace.n_nodes, -50.0)  # exp(beta) ~ 0: pure stiffness
     system = fem.assemble(ws, flat_shape(), beta)
     A_hand = hand_stiffness(mesh)[np.ix_(ws.free, ws.free)]
-    np.testing.assert_allclose(system.A_free.toarray(), A_hand, atol=1e-12)
+    np.testing.assert_allclose(dense(system), A_hand, atol=1e-12)
 
 
 def test_flat_assembly_robin_block():
@@ -41,8 +53,8 @@ def test_flat_assembly_robin_block():
     mesh = build_slab_mesh(1.0, 0.05, 4, 1)
     ws = fem.FemWorkspace(mesh)
     beta = np.zeros(ws.trace.n_nodes)
-    diff = (fem.assemble(ws, flat_shape(), beta).A_free.toarray()
-            - fem.assemble(ws, flat_shape(), np.full_like(beta, -60.0)).A_free.toarray())
+    diff = (dense(fem.assemble(ws, flat_shape(), beta))
+            - dense(fem.assemble(ws, flat_shape(), np.full_like(beta, -60.0))))
     h = 0.25
     mass_full = np.zeros((mesh.n_nodes, mesh.n_nodes))
     for a, b in mesh.edge_groups["top"]:
@@ -54,13 +66,30 @@ def test_flat_assembly_robin_block():
                                atol=1e-12)
 
 
-def test_system_symmetry(rng):
+def test_cholesky_factor_reproduces_system(rng):
     mesh = build_slab_mesh(1.0, 0.05, 12, 3)
     ws = fem.FemWorkspace(mesh)
     alpha = 0.03 * rng.standard_normal(5)
     beta = rng.standard_normal(ws.trace.n_nodes)
-    A = fem.assemble(ws, BoundaryShape(alpha=alpha), beta).A_free
-    assert abs(A - A.T).max() == 0.0
+    system = fem.assemble(ws, BoundaryShape(alpha=alpha), beta)
+    assert ws.band_u == mesh.ny + 2
+    A = dense(system)
+    R = banded_upper(system.chol)
+    assert np.linalg.norm(R.T @ R - A) <= 1e-12 * np.linalg.norm(A)
+
+
+@pytest.mark.parametrize("nx, ny, band_u", [(77, 7, 9), (229, 10, 12)])
+def test_column_major_bandwidth(nx, ny, band_u):
+    # the inversion and data meshes of the default config; row-major
+    # numbering would give a half-bandwidth near nx
+    assert fem.FemWorkspace(build_slab_mesh(1.0, 0.05, nx, ny)).band_u == band_u
+
+
+def test_indefinite_system_raises_solver_error():
+    ws = fem.FemWorkspace(build_slab_mesh(1.0, 0.05, 12, 3))
+    wq = np.zeros_like(ws.top_squad)
+    with pytest.raises(fem.SolverError):
+        fem._factor(ws, -ws.areas, 0 * ws.areas, -ws.areas, wq)
 
 
 def test_assemble_precomputed_evaluations_match():
@@ -72,7 +101,7 @@ def test_assemble_precomputed_evaluations_match():
     direct = fem.assemble(ws, shape, beta)
     se = (shape.eval(ws.quad_pts[..., 0]), shape.eval(ws.top_squad))
     cached = fem.assemble(ws, shape, beta, shape_eval=se)
-    assert abs(direct.A_free - cached.A_free).max() == 0.0
+    assert np.array_equal(direct.band, cached.band)
 
 
 def test_assemble_rejects_invalid_shape():
@@ -136,11 +165,12 @@ def test_solve_residual_and_energy():
     system = fem.assemble(ws, BoundaryShape(alpha=alpha), beta)
     state = fem.solve_all(system, 4)
     F = fem.all_loads(ws, 4)
+    A = dense(system)
     for k in range(4):
         u_free = state.solutions[ws.free, k]
-        resid = system.A_free @ u_free - F[ws.free, k]
+        resid = A @ u_free - F[ws.free, k]
         assert np.linalg.norm(resid) <= 1e-10 * np.linalg.norm(F[:, k])
-        energy = u_free @ (system.A_free @ u_free)
+        energy = u_free @ (A @ u_free)
         assert np.isclose(energy, F[:, k] @ state.solutions[:, k], rtol=1e-10)
 
 
@@ -210,8 +240,8 @@ def test_flat_shape_deformed_solve_matches_pushforward():
 
 
 def test_overflowed_robin_coefficient_raises_solver_error():
-    # exp(1000) overflows to inf and the factorization meets a singular
-    # pivot; both solvers report it as SolverError, not a raw RuntimeError
+    # exp(1000) overflows to inf, which the factorization rejects; both
+    # solvers report it as SolverError
     mesh = build_slab_mesh(1.0, 0.05, 24, 3)
     ws = fem.FemWorkspace(mesh)
     beta = np.zeros(ws.trace.n_nodes)

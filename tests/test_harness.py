@@ -55,8 +55,12 @@ def test_config_rejects_unknown_keys():
 
 def test_out_of_range_settings_rejected_before_any_work(tmp_path):
     out = tmp_path / "out"
+    # counts must be integers: a float or a bool would load and fail late
     for bad in ({"mala": {"check_interval": 0}}, {"mala": {"refresh_every": 0}},
-                {"mala": {"tau_init": 0.0}}, {"gn": {"c1": 0.0}}):
+                {"mala": {"tau_init": 0.0}}, {"gn": {"c1": 0.0}},
+                {"mala": {"max_steps": 150.5, "burn_in": 10}}, {"mala": {"burn_in": 10.0}},
+                {"gn": {"max_iters": 5.5}}, {"mala": {"check_interval": True}},
+                {"inversion_mesh": {"nx": 77.5, "ny": 7}}):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(bad)
         path = str(tmp_path / "bad.json")
@@ -64,6 +68,10 @@ def test_out_of_range_settings_rejected_before_any_work(tmp_path):
             json.dump({**bad, "output_dir": str(out)}, fh)
         assert cli.main(["generate-data", "--config", path]) == 1
     assert not out.exists()
+    # float settings still take integers
+    cfg = ExperimentConfig.from_dict({"mala": {"tau_init": 1, "mcse_threshold": 1},
+                                      "gn": {"grad_reduction": 100}})
+    assert cfg.mala.tau_init == 1 and cfg.gn.grad_reduction == 100
 
 
 def test_atomic_write_mode_follows_umask(tmp_path):
