@@ -7,9 +7,13 @@ free nodes are numbered column by column (x1 first), which keeps the reduced
 system banded with half-bandwidth ny + 2; one banded Cholesky factorization
 is shared by all loads and adjoint solves.
 
-`assemble` (push-forward tensor on the reference slab) and the verification
-path `solve_deformed` (isotropic operator on the stretched mesh, chord lengths
-on the slanted top edge) share the one scatter and factorization, `_factor`.
+The boundary shape enters `assemble` only through the profile (f, df/dx1) at
+the workspace's distinct quadrature abscissae `FemWorkspace.x1`: the slab is a
+tensor-product mesh, so its volume and top-edge quadrature points share a few
+hundred x1 values.  `assemble` (push-forward tensor on the reference slab) and
+the verification path `solve_deformed` (isotropic operator on the stretched
+mesh, chord lengths on the slanted top edge) share the one scatter and
+factorization, `_factor`.
 """
 from __future__ import annotations
 
@@ -94,6 +98,14 @@ class FemWorkspace:
         self.band_u = int(np.max(c - r, initial=0))
         self.band_index = (self.band_u + r - c) * self.free.size + c
 
+        # distinct x1 of the volume and top-edge quadrature points, with the
+        # gathers vol_at (T, 3) and top_at (E, 2) back onto the points
+        xq = np.concatenate([self.quad_pts[..., 0].ravel(), self.top_squad.ravel()])
+        self.x1, at = np.unique(xq, return_inverse=True)
+        n_vol = self.quad_pts[..., 0].size
+        self.vol_at = at[:n_vol].reshape(self.quad_pts.shape[:2])
+        self.top_at = at[n_vol:].reshape(self.top_squad.shape)
+
     def _sorted_edges(self, edges: np.ndarray) -> np.ndarray:
         # orient each edge so x1 increases, then order edges by x1
         x1 = self.mesh.nodes[:, 0]
@@ -114,10 +126,10 @@ class FemWorkspace:
 class AssembledSystem:
     """Reduced SPD system in upper banded storage (band[u + i - j, j] =
     A[i, j] for i <= j, free nodes in ws.free order) with its banded Cholesky
-    factor.  profile ((f, df) at the volume and at the top-edge quadrature
-    points) and robin (exp(beta) * w_g * len at the top-edge quadrature
-    points) are kept for the sensitivity kernel; the deformed-domain system
-    carries neither."""
+    factor.  profile (f and df at the volume quadrature points, df at the
+    top-edge quadrature points) and robin (exp(beta) * w_g * len at the
+    top-edge quadrature points) are kept for the sensitivity kernel; the
+    deformed-domain system carries neither."""
 
     band: np.ndarray
     chol: np.ndarray
@@ -175,28 +187,23 @@ def _factor(ws: FemWorkspace, S11, S12, S22, wq):
     return band, chol
 
 
-def assemble(ws: FemWorkspace, shape, beta: np.ndarray,
-             shape_eval=None) -> AssembledSystem:
-    """Assemble the transformed Poisson system for a shape and Robin field.
+def assemble(ws: FemWorkspace, profile, beta: np.ndarray) -> AssembledSystem:
+    """Assemble the transformed Poisson system for a profile and Robin field.
 
-    beta holds nodal log-admittance values on the workspace's top trace.
-    shape_eval, when given, is ((f, df) at the volume quadrature points,
-    (f, df) at the top-edge quadrature points) precomputed by the caller;
-    this skips shape.eval and the dense positivity sampling.
+    profile is (f, df/dx1) at the abscissae ws.x1, and f must be finite and
+    positive at every one of them; beta holds nodal log-admittance values on
+    the workspace's top trace.
     """
     beta = np.asarray(beta, dtype=float)
     if beta.shape != (ws.trace.n_nodes,):
         raise ValueError("beta length does not match its trace mesh")
-
-    if shape_eval is None:
-        if hasattr(shape, "validate"):
-            shape.validate()
-        f_vol, df_vol = shape.eval(ws.quad_pts[..., 0])
-        f_top, df_top = shape.eval(ws.top_squad)
-    else:
-        (f_vol, df_vol), (f_top, df_top) = shape_eval
-        if np.any(f_top <= 0.0):
-            raise InvalidShapeError("height profile f is not positive on the top edge")
+    f, df = (np.asarray(v, dtype=float) for v in profile)
+    if f.shape != ws.x1.shape or df.shape != ws.x1.shape:
+        raise ValueError("profile values do not match the workspace abscissae")
+    if not np.all(np.isfinite(f) & (f > 0.0)):
+        raise InvalidShapeError("height profile f is not finite and positive "
+                                "at the quadrature abscissae")
+    f_vol, df_vol, df_top = f[ws.vol_at], df[ws.vol_at], df[ws.top_at]
     s11, s12, s22 = pushforward_entries_from(f_vol, df_vol, ws.quad_pts[..., 1])
 
     w = ws.areas / 3.0
@@ -206,7 +213,7 @@ def assemble(ws: FemWorkspace, shape, beta: np.ndarray,
                          w * np.sum(s22, axis=1),
                          coeff * admittance_factor_from(df_top, ws.mesh.H) * lw)
     return AssembledSystem(band=band, chol=chol, ws=ws,
-                           profile=((f_vol, df_vol), (f_top, df_top)), robin=coeff * lw)
+                           profile=(f_vol, df_vol, df_top), robin=coeff * lw)
 
 
 def neumann_load(ws: FemWorkspace, k: int) -> np.ndarray:

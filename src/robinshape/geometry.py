@@ -3,8 +3,10 @@
 The unknown top boundary sits at height H*f(x1) with f a truncated Fourier
 series.  The diffeomorphism (x1, x2) -> (x1, x2/f(x1)) maps the deformed
 domain onto the reference slab; solving there requires the anisotropic
-conductivity tensor and the transformed boundary-admittance factor, both of
-which (and their coefficient derivatives) are provided here.
+conductivity tensor and the transformed boundary-admittance factor.  Both
+are pointwise functions of the profile values f and df/dx1, and so are their
+derivatives with respect to those profile values, provided here; the chain
+rule through a shape basis belongs to the caller.
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ import numpy as np
 
 
 class InvalidShapeError(Exception):
-    """The height profile f is not strictly positive on [0, L]."""
+    """The height profile f is not finite and positive where it is evaluated."""
 
 
 def fourier_basis(p: int, L: float, x):
@@ -65,12 +67,6 @@ class BoundaryShape:
         f, _ = self.eval(np.linspace(0.0, self.L, 16 * (self.p + 1), endpoint=False))
         return float(np.min(f))
 
-    def validate(self):
-        if not np.all(np.isfinite(self.alpha)):
-            raise InvalidShapeError("non-finite Fourier coefficients")
-        if self.min_f() <= 0.0:
-            raise InvalidShapeError("height profile f is not positive on [0, L]")
-
 
 @dataclass(frozen=True)
 class SampledProfile:
@@ -100,20 +96,11 @@ def pushforward_entries_from(f, df, x2):
     return f, -x2 * df, 1.0 / f + x2 ** 2 * df ** 2 / f
 
 
-def pushforward_alpha_entries_from(f, df, basis, dbasis, x2):
-    """Derivatives (d11, d12, d22) of the tensor entries w.r.t. every Fourier
-    coefficient at fixed reference coordinates, from precomputed profile and
-    basis values (basis/dbasis carry a trailing coefficient axis)."""
-    f = f[..., None]
-    df = df[..., None]
-    x2 = np.asarray(x2, dtype=float)[..., None]
-    d11 = basis
-    d12 = -x2 * dbasis
-    # d22 = a * basis + b * basis' with a, b scalar fields at the points
-    a = -(1.0 + x2 ** 2 * df ** 2) / f ** 2
-    b = 2.0 * x2 ** 2 * df / f
-    d22 = a * basis + b * dbasis
-    return d11, d12, d22
+def pushforward_alpha_entries_from(f, df, x2):
+    """Pointwise derivatives (ds22/df, ds22/d(df)) of the tensor entry s22
+    at reference height coordinate x2.  The other entries, s11 = f and
+    s12 = -x2 * df, have the constant partials 1 and -x2."""
+    return -(1.0 + x2 ** 2 * df ** 2) / f ** 2, 2.0 * x2 ** 2 * df / f
 
 
 def admittance_factor_from(df, H):
@@ -121,7 +108,6 @@ def admittance_factor_from(df, H):
     return np.sqrt(1.0 + df ** 2 * H ** 2)
 
 
-def admittance_alpha_entries_from(df, dbasis, H):
-    """Derivatives of the admittance factor w.r.t. every Fourier coefficient
-    from precomputed slopes (dbasis carries a trailing coefficient axis)."""
-    return H ** 2 * df[..., None] * dbasis / admittance_factor_from(df, H)[..., None]
+def admittance_alpha_entries_from(df, H):
+    """Derivative of the admittance factor with respect to the slope df."""
+    return H ** 2 * df / admittance_factor_from(df, H)

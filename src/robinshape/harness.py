@@ -256,7 +256,8 @@ def generate_data(config: ExperimentConfig) -> SyntheticDataset:
     trace = trace_of_top(mesh)
     beta_true = np.asarray(beta_fn(trace.s), dtype=float)
 
-    system = fem.assemble(fem.FemWorkspace(mesh), profile, beta_true)
+    ws = fem.FemWorkspace(mesh)
+    system = fem.assemble(ws, profile.eval(ws.x1), beta_true)
     state = fem.solve_all(system, config.n_loads)
     obs = fem.observe(state, config.sensor_x1())
     y0 = obs.y
@@ -402,6 +403,7 @@ def run_mcmc(config: ExperimentConfig, dataset: SyntheticDataset,
         "acceptance_rate": output.acceptance_rate,
         "acceptance_rate_trace": output.acceptance_rate_trace,
         "final_tau": output.final_tau,
+        "n_invalid_proposals": output.n_invalid,
         "cm": cm.tolist(),
         "posterior_std": std.tolist(),
         "mcse": output.mcse.tolist(),

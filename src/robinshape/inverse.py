@@ -7,7 +7,10 @@ the Jacobian come from one kernel that contracts adjoint and forward
 solutions with the derivative of the system matrix: the gradient pairs each
 load with its residual adjoint, the Jacobian every load with each of the
 n_sensors sensor adjoints (32 solves at the default size, where the direct
-sensitivity method needed n * n_loads = 744).
+sensitivity method needed n * n_loads = 744).  The shape reaches the kernel
+only as the profile (f, df) kept by the assembly: the pointwise derivatives
+of the tensor and the admittance factor in (f, df) are pulled back to the
+Fourier coefficients through the basis cached at the slab's abscissae.
 """
 from __future__ import annotations
 
@@ -64,10 +67,12 @@ class Problem:
         if self.data.shape != (self.m_obs,):
             raise ValueError("data length does not match sensors x loads")
         self.loads = fem.all_loads(self.ws, self.n_loads)
-        # Fourier basis cached at the fixed quadrature points, so each
-        # evaluation of f and df reduces to a matrix-vector product
-        self.Vq, self.dVq = fourier_basis(p, mesh.L, self.ws.quad_pts[..., 0])
-        self.Vt, self.dVt = fourier_basis(p, mesh.L, self.ws.top_squad)
+        # Fourier basis cached at the distinct quadrature abscissae, so each
+        # evaluation of f and df reduces to a matrix-vector product; Vq, dVq
+        # and dVt are its gathers onto the volume and top-edge points
+        self.Vx, self.dVx = fourier_basis(p, mesh.L, self.ws.x1)
+        self.Vq, self.dVq = self.Vx[self.ws.vol_at], self.dVx[self.ws.vol_at]
+        self.dVt = self.dVx[self.ws.top_at]
         # shape-independent pieces of the volume alpha-derivative sums:
         # the s11 derivative is the basis itself and the s12 derivative is
         # -x2 * basis', so their quadrature-weighted sums are constant
@@ -112,12 +117,7 @@ class Problem:
         """Assemble, solve all loads, observe.  Raises InvalidShapeError or
         fem.SolverError."""
         alpha, beta = self.split(m)
-        if not np.all(np.isfinite(alpha)):
-            raise InvalidShapeError("non-finite Fourier coefficients")
-        # (f, df) at the volume and top-edge quadrature points
-        shape_eval = ((1.0 + self.Vq @ alpha, self.dVq @ alpha),
-                      (1.0 + self.Vt @ alpha, self.dVt @ alpha))
-        system = fem.assemble(self.ws, self.shape_of(alpha), beta, shape_eval=shape_eval)
+        system = fem.assemble(self.ws, (1.0 + self.Vx @ alpha, self.dVx @ alpha), beta)
         state = fem.ForwardState(solutions=system.solve(self.loads), system=system)
         obs = (self.B @ state.solutions).T.ravel()
         return state, obs
@@ -145,14 +145,15 @@ class Problem:
         U and W paired by the index arrays iu, iw of length P: the one
         sensitivity kernel behind the gradient and the Jacobian.  The profile
         and Robin weights come from the assembly of system."""
-        (f_vol, df_vol), (_, df_top) = system.profile
+        f_vol, df_vol, df_top = system.profile
         P = iu.size
 
         # volume part, alpha only: grad(w) . (dS/dalpha) grad(u); each column
-        # is differentiated once, then gathered into its pairs
-        _, _, d22 = pushforward_alpha_entries_from(f_vol, df_vol, self.Vq, self.dVq,
-                                                   self.ws.quad_pts[..., 1])
-        D22 = np.einsum("tg,tgi->ti", self.wg, d22)
+        # is differentiated once, then gathered into its pairs.  s22 depends
+        # on alpha through f and df: ds22/dalpha = a * basis + b * basis'
+        a, b = pushforward_alpha_entries_from(f_vol, df_vol, self.ws.quad_pts[..., 1])
+        D22 = (np.einsum("tg,tgi->ti", self.wg * a, self.Vq)
+               + np.einsum("tg,tgi->ti", self.wg * b, self.dVq))
         gu = (self.grad_op @ U).reshape(2, -1, U.shape[1])[..., iu]  # (2, T, P)
         gw = (self.grad_op @ W).reshape(2, -1, W.shape[1])[..., iw]
         g_alpha = ((gu[0] * gw[0]).T @ self.D11c
@@ -165,8 +166,8 @@ class Problem:
         uw = (np.einsum("enp,gn->egp", U[edges], _EDGE_PHI)[..., iu]
               * np.einsum("enp,gn->egp", W[edges], _EDGE_PHI)[..., iw])  # (E, 2, P)
         wq = system.robin
-        dfac = admittance_alpha_entries_from(df_top, self.dVt, self.mesh.H)
-        g_alpha += np.einsum("egp,egi->pi", uw, wq[..., None] * dfac)
+        dfac = admittance_alpha_entries_from(df_top, self.mesh.H)
+        g_alpha += np.einsum("egp,egi->pi", uw * (wq * dfac)[..., None], self.dVt)
         fac = admittance_factor_from(df_top, self.mesh.H)
         local = np.einsum("egp,ga->eap", uw * (wq * fac)[..., None], _EDGE_PHI)
         g_beta = np.zeros((self.q, P))

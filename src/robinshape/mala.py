@@ -160,7 +160,7 @@ def refresh_proposal(adapt_state: AdaptState):
 
 def mcse_batch_means(samples: np.ndarray) -> np.ndarray:
     """Per-coordinate MCSE from floor(sqrt(n)) non-overlapping batches."""
-    samples = np.atleast_2d(np.asarray(samples, dtype=float))
+    samples = np.asarray(samples, dtype=float)
     if samples.ndim == 1:
         samples = samples[:, None]
     n = samples.shape[0]
@@ -212,6 +212,7 @@ class ChainOutput:
     n_burn_in: int
     n_recorded: int
     final_tau: float
+    n_invalid: int  # proposals auto-rejected as invalid, burn-in included
 
     @property
     def acceptance_rate(self) -> float:
@@ -265,4 +266,5 @@ def run_chain(m_init: np.ndarray, A_init: np.ndarray, target, rng,
                        accept_flags=accept_flags[:recorded],
                        acceptance_rate_trace=rate_trace,
                        mcse=mcse_batch_means(samples), converged=converged,
-                       n_burn_in=s.burn_in, n_recorded=recorded, final_tau=ad.tau)
+                       n_burn_in=s.burn_in, n_recorded=recorded, final_tau=ad.tau,
+                       n_invalid=state.n_invalid)

@@ -49,7 +49,7 @@ def test_criterion_01_pushforward_invariance():
             mesh = build_slab_mesh(1.0, 0.05, nx, ny)
             ws = fem.FemWorkspace(mesh)
             beta = 0.8 + 0.5 * np.sin(2 * np.pi * ws.trace.s)
-            ref = fem.observe(fem.solve_all(fem.assemble(ws, shape, beta), 8),
+            ref = fem.observe(fem.solve_all(fem.assemble(ws, shape.eval(ws.x1), beta), 8),
                               sensors)
             def_obs = fem.solve_deformed(mesh, shape, beta, 8, sensors)
             disc.append(np.linalg.norm(ref.y - def_obs.y) / np.linalg.norm(def_obs.y))

@@ -43,7 +43,7 @@ def test_flat_assembly_matches_hand_stiffness():
     mesh = build_slab_mesh(1.0, 0.05, 3, 1)
     ws = fem.FemWorkspace(mesh)
     beta = np.full(ws.trace.n_nodes, -50.0)  # exp(beta) ~ 0: pure stiffness
-    system = fem.assemble(ws, flat_shape(), beta)
+    system = fem.assemble(ws, flat_shape().eval(ws.x1), beta)
     A_hand = hand_stiffness(mesh)[np.ix_(ws.free, ws.free)]
     np.testing.assert_allclose(dense(system), A_hand, atol=1e-12)
 
@@ -53,8 +53,8 @@ def test_flat_assembly_robin_block():
     mesh = build_slab_mesh(1.0, 0.05, 4, 1)
     ws = fem.FemWorkspace(mesh)
     beta = np.zeros(ws.trace.n_nodes)
-    diff = (dense(fem.assemble(ws, flat_shape(), beta))
-            - dense(fem.assemble(ws, flat_shape(), np.full_like(beta, -60.0))))
+    diff = (dense(fem.assemble(ws, flat_shape().eval(ws.x1), beta))
+            - dense(fem.assemble(ws, flat_shape().eval(ws.x1), np.full_like(beta, -60.0))))
     h = 0.25
     mass_full = np.zeros((mesh.n_nodes, mesh.n_nodes))
     for a, b in mesh.edge_groups["top"]:
@@ -71,7 +71,7 @@ def test_cholesky_factor_reproduces_system(rng):
     ws = fem.FemWorkspace(mesh)
     alpha = 0.03 * rng.standard_normal(5)
     beta = rng.standard_normal(ws.trace.n_nodes)
-    system = fem.assemble(ws, BoundaryShape(alpha=alpha), beta)
+    system = fem.assemble(ws, BoundaryShape(alpha=alpha).eval(ws.x1), beta)
     assert ws.band_u == mesh.ny + 2
     A = dense(system)
     R = banded_upper(system.chol)
@@ -93,15 +93,19 @@ def test_indefinite_system_raises_solver_error():
 
 
 def test_assemble_precomputed_evaluations_match():
-    mesh = build_slab_mesh(1.0, 0.05, 10, 2)
+    # the profile at the distinct abscissae, gathered back, is the profile at
+    # every volume and top-edge quadrature point
+    mesh = build_slab_mesh(1.0, 0.05, 77, 7)
     ws = fem.FemWorkspace(mesh)
-    alpha = np.array([0.02, -0.04, 0.05, 0.01, -0.03])
-    shape = BoundaryShape(alpha=alpha)
-    beta = np.linspace(-0.5, 0.5, ws.trace.n_nodes)
-    direct = fem.assemble(ws, shape, beta)
-    se = (shape.eval(ws.quad_pts[..., 0]), shape.eval(ws.top_squad))
-    cached = fem.assemble(ws, shape, beta, shape_eval=se)
-    assert np.array_equal(direct.band, cached.band)
+    assert ws.x1.size == 4 * mesh.nx + 1 == 309
+    shape = BoundaryShape(alpha=np.array([0.02, -0.04, 0.05, 0.01, -0.03]))
+    f, df = shape.eval(ws.x1)
+    f_vol, df_vol = shape.eval(ws.quad_pts[..., 0])
+    _, df_top = shape.eval(ws.top_squad)
+    assert np.array_equal(f[ws.vol_at], f_vol) and np.array_equal(df[ws.vol_at], df_vol)
+    assert np.array_equal(df[ws.top_at], df_top)
+    assert np.array_equal(ws.x1[ws.vol_at], ws.quad_pts[..., 0])
+    assert np.array_equal(ws.x1[ws.top_at], ws.top_squad)
 
 
 def test_assemble_rejects_invalid_shape():
@@ -109,9 +113,21 @@ def test_assemble_rejects_invalid_shape():
     ws = fem.FemWorkspace(mesh)
     beta = np.zeros(ws.trace.n_nodes)
     with pytest.raises(InvalidShapeError):
-        fem.assemble(ws, BoundaryShape(alpha=np.array([-1.2, 0.0, 0.0])), beta)
+        fem.assemble(ws, BoundaryShape(alpha=np.array([-1.2, 0.0, 0.0])).eval(ws.x1), beta)
     with pytest.raises(ValueError):
-        fem.assemble(ws, flat_shape(), np.zeros(3))
+        fem.assemble(ws, flat_shape().eval(ws.x1), np.zeros(3))
+    with pytest.raises(ValueError):
+        fem.assemble(ws, flat_shape().eval(ws.quad_pts[..., 0]), beta)
+
+
+def test_assemble_rejects_profile_nonpositive_at_one_top_abscissa():
+    ws = fem.FemWorkspace(build_slab_mesh(1.0, 0.05, 8, 2))
+    f, df = np.ones_like(ws.x1), np.zeros_like(ws.x1)
+    k = ws.top_at[3, 1]
+    assert k not in ws.vol_at  # no volume point sees this abscissa
+    f[k] = 0.0
+    with pytest.raises(InvalidShapeError):
+        fem.assemble(ws, (f, df), np.zeros(ws.trace.n_nodes))
 
 
 def test_neumann_load_zero_sum():
@@ -149,7 +165,7 @@ def test_solve_linearity():
     mesh = build_slab_mesh(1.0, 0.05, 16, 2)
     ws = fem.FemWorkspace(mesh)
     beta = np.zeros(ws.trace.n_nodes)
-    system = fem.assemble(ws, flat_shape(), beta)
+    system = fem.assemble(ws, flat_shape().eval(ws.x1), beta)
     assert np.all(system.solve(np.zeros(mesh.n_nodes)) == 0.0)
     F = fem.neumann_load(ws, 2)
     u = system.solve(F)
@@ -162,7 +178,7 @@ def test_solve_residual_and_energy():
     ws = fem.FemWorkspace(mesh)
     alpha = np.array([0.0, 0.03, -0.02, 0.01, 0.02])
     beta = 0.4 * np.sin(2 * np.pi * ws.trace.s)
-    system = fem.assemble(ws, BoundaryShape(alpha=alpha), beta)
+    system = fem.assemble(ws, BoundaryShape(alpha=alpha).eval(ws.x1), beta)
     state = fem.solve_all(system, 4)
     F = fem.all_loads(ws, 4)
     A = dense(system)
@@ -180,7 +196,7 @@ def test_large_admittance_suppresses_top_potential():
     tops = ws.trace.parent_nodes
     sup = []
     for b in (-2.0, 0.0, 2.0, 4.0, 7.0):
-        system = fem.assemble(ws, flat_shape(), np.full(ws.trace.n_nodes, b))
+        system = fem.assemble(ws, flat_shape().eval(ws.x1), np.full(ws.trace.n_nodes, b))
         state = fem.solve_all(system, 1)
         sup.append(np.max(np.abs(state.solutions[tops, 0])))
     assert all(a > b for a, b in zip(sup, sup[1:]))
@@ -189,7 +205,7 @@ def test_large_admittance_suppresses_top_potential():
 def test_observe_at_nodes_and_midpoints():
     mesh = build_slab_mesh(1.0, 0.05, 8, 2)
     ws = fem.FemWorkspace(mesh)
-    system = fem.assemble(ws, flat_shape(), np.zeros(ws.trace.n_nodes))
+    system = fem.assemble(ws, flat_shape().eval(ws.x1), np.zeros(ws.trace.n_nodes))
     state = fem.solve_all(system, 2)
     u = state.solutions
     obs = fem.observe(state, np.array([0.25, 0.3125]))
@@ -204,7 +220,7 @@ def test_observe_at_nodes_and_midpoints():
 def test_observe_layout_and_range_check():
     mesh = build_slab_mesh(1.0, 0.05, 16, 2)
     ws = fem.FemWorkspace(mesh)
-    system = fem.assemble(ws, flat_shape(), np.zeros(ws.trace.n_nodes))
+    system = fem.assemble(ws, flat_shape().eval(ws.x1), np.zeros(ws.trace.n_nodes))
     state = fem.solve_all(system, 8)
     sensors = (np.arange(32) + 0.5) / 32
     obs = fem.observe(state, sensors)
@@ -221,7 +237,7 @@ def test_pushforward_invariance_moderate():
     ws = fem.FemWorkspace(mesh)
     beta = 1.0 + 0.5 * np.sin(2 * np.pi * ws.trace.s)
     sensors = (np.arange(16) + 0.5) / 16
-    ref = fem.observe(fem.solve_all(fem.assemble(ws, shape, beta), 3), sensors)
+    ref = fem.observe(fem.solve_all(fem.assemble(ws, shape.eval(ws.x1), beta), 3), sensors)
     deformed = fem.solve_deformed(mesh, shape, beta, 3, sensors)
     rel = (np.linalg.norm(ref.y - deformed.y) / np.linalg.norm(deformed.y))
     assert rel < 1e-3
@@ -234,7 +250,7 @@ def test_flat_shape_deformed_solve_matches_pushforward():
     ws = fem.FemWorkspace(mesh)
     beta = 0.5 * np.sin(2 * np.pi * ws.trace.s)
     sensors = (np.arange(16) + 0.5) / 16
-    ref = fem.observe(fem.solve_all(fem.assemble(ws, flat_shape(), beta), 4), sensors)
+    ref = fem.observe(fem.solve_all(fem.assemble(ws, flat_shape().eval(ws.x1), beta), 4), sensors)
     deformed = fem.solve_deformed(mesh, flat_shape(), beta, 4, sensors)
     assert np.linalg.norm(ref.y - deformed.y) <= 1e-12 * np.linalg.norm(ref.y)
 
@@ -249,6 +265,6 @@ def test_overflowed_robin_coefficient_raises_solver_error():
     sensors = (np.arange(16) + 0.5) / 16
     with np.errstate(over="ignore"):
         with pytest.raises(fem.SolverError):
-            fem.assemble(ws, flat_shape(), beta)
+            fem.assemble(ws, flat_shape().eval(ws.x1), beta)
         with pytest.raises(fem.SolverError):
             fem.solve_deformed(mesh, flat_shape(), beta, 2, sensors)

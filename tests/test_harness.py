@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -189,7 +190,7 @@ def test_flat_truth_zero_noise_matches_reference_solve(tmp_path):
     mesh = build_slab_mesh(cfg.L, cfg.H, 60, 4)
     ws = fem.FemWorkspace(mesh)
     shape = BoundaryShape(alpha=np.zeros(15), L=cfg.L, H=cfg.H)
-    system = fem.assemble(ws, shape, np.zeros(ws.trace.n_nodes))
+    system = fem.assemble(ws, shape.eval(ws.x1), np.zeros(ws.trace.n_nodes))
     ref = fem.observe(fem.solve_all(system, cfg.n_loads), cfg.sensor_x1())
     np.testing.assert_allclose(ds.y_noiseless, ref.y, atol=1e-12)
 
@@ -286,6 +287,29 @@ def test_chain_csv_values_roundtrip(small_pipeline):
     payload = np.loadtxt(path, delimiter=",", skiprows=1)
     assert payload.shape[1] == map_result.problem.n + 2
     assert set(np.unique(payload[:, -1])).issubset({0.0, 1.0})
+
+
+def test_run_mcmc_reports_invalid_proposals(small_pipeline, tmp_path, monkeypatch):
+    cfg, ds, map_result = small_pipeline
+    cfg = dataclasses.replace(cfg, output_dir=str(tmp_path))
+    problem = map_result.problem
+    target = problem.potential_and_gradient
+    calls, n_inf = 0, 0
+
+    def failing(m):
+        # every 7th call fails; the first call (the chain start) never does
+        nonlocal calls, n_inf
+        calls += 1
+        J, g = (np.inf, None) if calls % 7 == 0 else target(m)
+        n_inf += not np.isfinite(J)
+        return J, g
+
+    monkeypatch.setattr(problem, "potential_and_gradient", failing)
+    run_mcmc(cfg, ds, map_result)
+    with open(os.path.join(cfg.output_dir, "mcmc_summary.json")) as fh:
+        summary = json.load(fh)
+    assert n_inf >= (cfg.mala.burn_in + cfg.mala.max_steps) // 7
+    assert summary["n_invalid_proposals"] == n_inf
 
 
 # -- CLI ---------------------------------------------------------------------

@@ -138,6 +138,11 @@ def test_invalid_shape_handling():
         prob.gradient(m)
     m[0] = np.nan
     assert prob.potential_value(m) == np.inf
+    # a non-finite coefficient makes f non-finite at every abscissa
+    m[0] = 0.0
+    for bad in (np.nan, np.inf):
+        m[3] = bad
+        assert prob.potential(m).J == np.inf
 
 
 def test_overflowed_robin_coefficient_is_rejected():

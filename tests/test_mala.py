@@ -153,6 +153,12 @@ def test_mcse_iid_and_constant():
         mcse_batch_means(np.zeros((99, 1)))
 
 
+def test_mcse_one_dimensional_series():
+    xs = np.random.default_rng(10).standard_normal(1000)
+    np.testing.assert_array_equal(mcse_batch_means(xs), mcse_batch_means(xs[:, None]))
+    np.testing.assert_array_equal(mcse_halfwidth(xs), mcse_halfwidth(xs[:, None]))
+
+
 def test_mcse_ar1_inflation():
     # AR(1) with phi = 0.9: asymptotic MCSE = sd * sqrt((1+phi)/(1-phi)) / sqrt(n)
     from scipy.signal import lfilter
