@@ -1,8 +1,11 @@
 """Metropolis-adjusted Langevin sampling with continuous adaptation of the
 proposal covariance and step size, batch-means MCSE stopping, and the
-Gelman-Rubin diagnostic."""
+Gelman-Rubin diagnostic.  A step works in the whitened coordinates of the
+proposal covariance A = C C^T and needs no inverse; the empirical covariance
+is brought up to date only when the proposal is refreshed."""
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -60,13 +63,19 @@ class ChainState:
 @dataclass
 class AdaptState:
     """Proposal covariance A (with lower Cholesky factor) and log step size,
-    adapted with diminishing weights t^(-settings.adapt_exponent)."""
+    adapted with diminishing weights t^(-settings.adapt_exponent).
+
+    mean and log_tau change at every step, cov only at a refresh (every
+    k = settings.refresh_every steps): the deviations x_t - mean_t wait as the
+    rows of ``deviations`` = D, and the refresh applies the exact identity
+    (t + T0) cov_t = (t + T0 - k) cov_{t-k} + D^T D of the per-step recursion."""
 
     A: np.ndarray
     chol_A: np.ndarray
     log_tau: float
     mean: np.ndarray
     cov: np.ndarray
+    deviations: np.ndarray  # (refresh_every, n)
     settings: MalaSettings
     t: int = 0
 
@@ -81,39 +90,41 @@ def make_adapt_state(A_init: np.ndarray, mean_init: np.ndarray,
     return AdaptState(A=A, chol_A=sla.cholesky(A, lower=True),
                       log_tau=float(np.log(settings.tau_init)),
                       mean=np.asarray(mean_init, dtype=float).copy(), cov=A.copy(),
+                      deviations=np.empty((settings.refresh_every, A.shape[0])),
                       settings=settings)
-
-
-def _q_norm_sq(chol_A: np.ndarray, x: np.ndarray) -> float:
-    """|L x|^2 with L^T L = A^{-1}: for A = C C^T this is |C^{-1} x|^2."""
-    z = sla.solve_triangular(chol_A, x, lower=True)
-    return float(z @ z)
 
 
 def mala_step(state: ChainState, adapt_state: AdaptState, target, rng,
               xi: np.ndarray | None = None):
-    """One proposal/accept step.  target(m) -> (J, grad); an infinite J or a
-    non-finite gradient auto-rejects.  Returns the acceptance probability."""
+    """One proposal/accept step.  target(m) -> (J, grad); an infinite J, a
+    non-finite gradient or a non-finite acceptance ratio auto-rejects and is
+    counted in state.n_invalid.  Returns the acceptance probability.
+
+    With A = C C^T, u = sqrt(2 tau) xi and w = C^T grad J(m), the proposal is
+    m' = m + C (u - tau w), the forward kernel term |C^{-1}(m' - m + tau A
+    grad J(m))|^2 is exactly |u|^2 and the reverse term is
+    |u - tau (w + C^T grad J(m'))|^2."""
     tau = adapt_state.tau
-    A, C = adapt_state.A, adapt_state.chol_A
+    C = adapt_state.chol_A
     if xi is None:
         xi = rng.standard_normal(state.m.size)
-    drift = A @ state.grad
-    proposal = state.m - tau * drift + np.sqrt(2.0 * tau) * (C @ xi)
+    u = np.sqrt(2.0 * tau) * xi
+    step = u - tau * (C.T @ state.grad)
+    proposal = state.m + C @ step
 
     J_prop, grad_prop = target(proposal)
-    if not np.isfinite(J_prop) or grad_prop is None or not np.all(np.isfinite(grad_prop)):
-        state.n_steps += 1
+    state.n_steps += 1
+    log_ratio = math.nan
+    if math.isfinite(J_prop) and grad_prop is not None:
+        # a non-finite gradient makes the reverse term and the ratio non-finite
+        r = step - tau * (C.T @ grad_prop)
+        log_ratio = state.J - J_prop - (float(r @ r) - float(u @ u)) / (4.0 * tau)
+    # a NaN ratio would give min(1.0, nan) == 1.0 and push the step size up
+    if not math.isfinite(log_ratio):
         state.n_invalid += 1
         return 0.0
-
-    dm = proposal - state.m
-    fwd = _q_norm_sq(C, dm + tau * drift)
-    rev = _q_norm_sq(C, -dm + tau * (A @ grad_prop))
-    log_ratio = -J_prop + state.J - (rev - fwd) / (4.0 * tau)
     accept_prob = float(min(1.0, np.exp(min(log_ratio, 0.0))))
 
-    state.n_steps += 1
     if np.log(rng.uniform()) < log_ratio:
         state.m = proposal
         state.J = J_prop
@@ -128,18 +139,20 @@ def adapt(adapt_state: AdaptState, sample: np.ndarray, accept_prob: float):
     The covariance uses running-average (1/t) weights, so it converges to the
     empirical covariance of the whole history; the offset acts as pseudo
     observations of the initial proposal covariance.  The step size uses the
-    faster diminishing t^(-adapt_exponent) weights."""
+    faster diminishing t^(-adapt_exponent) weights.  The covariance is brought
+    up to date only at a refresh (see AdaptState)."""
     settings = adapt_state.settings
+    row = adapt_state.t % settings.refresh_every
     adapt_state.t += 1
     t_eff = adapt_state.t + _T_OFFSET
-    gamma_cov = 1.0 / t_eff
-    d = sample - adapt_state.mean
-    adapt_state.mean = adapt_state.mean + gamma_cov * d
-    d2 = sample - adapt_state.mean
-    adapt_state.cov = adapt_state.cov + gamma_cov * (np.outer(d2, d2) - adapt_state.cov)
+    adapt_state.mean += (1.0 / t_eff) * (sample - adapt_state.mean)
+    np.subtract(sample, adapt_state.mean, out=adapt_state.deviations[row])
     adapt_state.log_tau += t_eff ** (-settings.adapt_exponent) * (
         accept_prob - settings.target_accept)
-    if adapt_state.t % settings.refresh_every == 0:
+    if row + 1 == settings.refresh_every:
+        D = adapt_state.deviations
+        adapt_state.cov = ((t_eff - settings.refresh_every) * adapt_state.cov
+                           + D.T @ D) / t_eff
         refresh_proposal(adapt_state)
     return adapt_state
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from robinshape.mala import (ChainState, MalaSettings, _q_norm_sq, adapt,
+from robinshape.mala import (_T_OFFSET, ChainState, MalaSettings, adapt,
                              gelman_rubin, make_adapt_state, mala_step,
                              mcse_batch_means, mcse_halfwidth, run_chain,
                              stopping_rule)
@@ -24,12 +24,55 @@ def fresh_state(m0, target):
 
 
 def test_quadratic_form_matches_inverse():
+    # the whitened kernels give the textbook MALA ratio written with inv(A)
     rng = np.random.default_rng(0)
-    B = rng.standard_normal((4, 4))
-    A = B @ B.T + 4 * np.eye(4)
-    C = sla.cholesky(A, lower=True)
-    x = rng.standard_normal(4)
-    assert np.isclose(_q_norm_sq(C, x), x @ np.linalg.solve(A, x))
+    B = rng.standard_normal((5, 5))
+    target = gaussian_target(rng.standard_normal(5), B @ B.T + np.eye(5))
+    G = rng.standard_normal((5, 5))
+    A = G @ G.T + 2 * np.eye(5)
+    A_inv, C = np.linalg.inv(A), np.linalg.cholesky(A)
+    ad = make_adapt_state(A, np.zeros(5), MalaSettings(tau_init=0.05))
+    tau = ad.tau
+
+    def log_q(to, frm, grad):
+        d = to - frm + tau * A @ grad
+        return -(d @ A_inv @ d) / (4 * tau)
+
+    below_one = 0
+    for _ in range(10):
+        state = fresh_state(rng.standard_normal(5), target)
+        m, J, g = state.m.copy(), state.J, state.grad
+        xi = rng.standard_normal(5)
+        ap = mala_step(state, ad, target, rng, xi=xi)
+        m_prop = m - tau * A @ g + np.sqrt(2 * tau) * C @ xi
+        J_prop, g_prop = target(m_prop)
+        log_ratio = J - J_prop + log_q(m, m_prop, g_prop) - log_q(m_prop, m, g)
+        expected = min(1.0, np.exp(log_ratio))
+        assert abs(ap - expected) <= 1e-12 * expected
+        below_one += expected < 1.0
+    assert below_one >= 3
+
+
+@pytest.mark.parametrize("grad_prop", [[1e308, 1e308], [np.nan, 0.0]],
+                         ids=["overflow", "nan"])
+def test_reverse_kernel_overflow_is_counted_rejection(grad_prop):
+    # a finite but huge gradient at the proposal overflows the reverse term;
+    # a NaN gradient with a finite potential must not be accepted either
+    m0 = np.zeros(2)
+
+    def target(m):
+        return 0.0, np.zeros(2) if np.array_equal(m, m0) else np.array(grad_prop)
+
+    ad = make_adapt_state(np.array([[1.0, 0.9], [0.9, 1.0]]), m0, MalaSettings(tau_init=0.5))
+    state = fresh_state(m0, target)
+    log_tau = ad.log_tau
+    with np.errstate(over="ignore", invalid="ignore"):
+        ap = mala_step(state, ad, target, np.random.default_rng(13))
+    assert ap == 0.0
+    assert (state.n_steps, state.n_invalid, state.n_accepted) == (1, 1, 0)
+    np.testing.assert_array_equal(state.m, m0)
+    adapt(ad, state.m, ap)
+    assert ad.log_tau < log_tau
 
 
 def test_flat_target_always_accepts():
@@ -141,6 +184,37 @@ def test_covariance_adaptation_converges():
         adapt(ad, L @ rng.standard_normal(2), accept_prob=0.574)
     err = np.linalg.norm(ad.A - C_true) / np.linalg.norm(C_true)
     assert err < 0.05
+
+
+def test_batched_covariance_update_is_exact():
+    # the refresh-time update against the per-step running-average recursion
+    rng = np.random.default_rng(12)
+    n, k = 4, 100
+    L = np.tril(rng.standard_normal((n, n))) + 3 * np.eye(n)
+    A0 = np.diag([1.0, 2.0, 0.5, 1.5])
+    ad = make_adapt_state(A0, np.ones(n), MalaSettings(refresh_every=k))
+    mean, cov = np.ones(n), A0.copy()
+
+    def rel(a, b):
+        return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+    for t in range(1, 1051):
+        x = L @ rng.standard_normal(n) + 2.0
+        cov_before = ad.cov.copy()
+        adapt(ad, x, accept_prob=0.5)
+        gamma = 1.0 / (t + _T_OFFSET)
+        mean = mean + gamma * (x - mean)
+        d = x - mean
+        cov = cov + gamma * (np.outer(d, d) - cov)
+        assert rel(ad.mean, mean) <= 1e-12
+        if t % k == 0:
+            assert rel(ad.cov, cov) <= 1e-12
+            A = cov + 1e-10 * np.trace(cov) / n * np.eye(n)
+            assert rel(ad.A, A) <= 1e-12
+            np.testing.assert_allclose(ad.chol_A @ ad.chol_A.T, ad.A, rtol=1e-12)
+        else:
+            np.testing.assert_array_equal(ad.cov, cov_before)
+    assert ad.t == 1050 and rel(ad.cov, cov) > 1e-6  # the last 50 still wait
 
 
 def test_mcse_iid_and_constant():
