@@ -12,8 +12,8 @@ the workspace's distinct quadrature abscissae `FemWorkspace.x1`: the slab is a
 tensor-product mesh, so its volume and top-edge quadrature points share a few
 hundred x1 values.  `assemble` (push-forward tensor on the reference slab) and
 the verification path `solve_deformed` (isotropic operator on the stretched
-mesh, chord lengths on the slanted top edge) share the one scatter and
-factorization, `_factor`.
+mesh, chord lengths on the slanted top edge) share `_factor`: one product with
+the per-mesh operator `FemWorkspace.K`, then one banded Cholesky factorization.
 """
 from __future__ import annotations
 
@@ -57,11 +57,6 @@ class FemWorkspace:
         self.grads /= (2.0 * self.areas)[:, None, None]
         # edge-midpoint quadrature points, weight areas/3 each
         self.quad_pts = 0.5 * (p + np.roll(p, -1, axis=1))  # (T, 3, 2)
-        # gradient outer products so a stiffness assembly is 3 multiply-adds
-        gx, gy = self.grads[..., 0], self.grads[..., 1]
-        self.K11 = gx[:, :, None] * gx[:, None, :]
-        self.K12 = gx[:, :, None] * gy[:, None, :] + gy[:, :, None] * gx[:, None, :]
-        self.K22 = gy[:, :, None] * gy[:, None, :]
 
         self.trace = trace_of_top(mesh)
         self.top_edges = self._sorted_edges(mesh.edge_groups["top"])
@@ -78,25 +73,36 @@ class FemWorkspace:
         self.full_to_free = -np.ones(mesh.n_nodes, dtype=np.int64)
         self.full_to_free[self.free] = np.arange(self.free.size)
 
-        # map top-edge mesh nodes to trace indices
-        self.node_to_trace = -np.ones(mesh.n_nodes, dtype=np.int64)
-        self.node_to_trace[self.trace.parent_nodes] = np.arange(self.trace.n_nodes)
-
-        # top-edge quadrature and the scatter pattern of the reduced system
-        # into LAPACK upper banded storage, so every assembly is one bincount.
-        # The local matrices are exactly symmetric, so the upper triangle
-        # (r <= c) holds all of the system.
+        # The reduced system in LAPACK upper banded storage is linear in the
+        # coefficients c = [S11 (T), S12 (T), S22 (T), wq (2E)], so every
+        # assembly is one product with the sparse operator K from c to the
+        # flattened band.  The local matrices are exactly symmetric, so the
+        # upper triangle (r <= c) holds all of the system.
         self.top_squad, self.top_len = self.edge_quad(self.top_edges)
         tri = mesh.triangles
+        T, E = tri.shape[0], self.top_edges.shape[0]
         rows = np.concatenate([np.repeat(tri, 3, axis=1).ravel(),
                                np.repeat(self.top_edges, 2, axis=1).ravel()])
         cols = np.concatenate([np.tile(tri, (1, 3)).ravel(),
                                np.tile(self.top_edges, (1, 2)).ravel()])
         r, c = self.full_to_free[rows], self.full_to_free[cols]
-        self.asm_keep = free_mask[rows] & free_mask[cols] & (r <= c)
-        r, c = r[self.asm_keep], c[self.asm_keep]
-        self.band_u = int(np.max(c - r, initial=0))
-        self.band_index = (self.band_u + r - c) * self.free.size + c
+        keep = free_mask[rows] & free_mask[cols] & (r <= c)
+        self.band_u = int(np.max((c - r)[keep], initial=0))
+        pos = np.where(keep, (self.band_u + r - c) * self.free.size + c, -1)
+        # K's triplets (band position, coefficient, value): the local entries
+        # of triangle t carry the gradient outer products for t, T + t, 2T + t,
+        # those of top edge e the hat products at its point g for 3T + 2e + g
+        gx, gy = self.grads[..., 0], self.grads[..., 1]
+        vol, top = pos[:9 * T], pos[9 * T:]
+        of_tri, of_edge = np.repeat(np.arange(T), 9), 3 * T + 2 * np.repeat(np.arange(E), 4)
+        triplets = [(vol, of_tri, gx[:, :, None] * gx[:, None, :]),
+                    (vol, T + of_tri, gx[:, :, None] * gy[:, None, :] + gy[:, :, None] * gx[:, None, :]),
+                    (vol, 2 * T + of_tri, gy[:, :, None] * gy[:, None, :])]
+        triplets += [(top, of_edge + g, np.tile(np.outer(phi, phi), (E, 1)))
+                     for g, phi in enumerate(_EDGE_PHI)]
+        at, j, v = (np.concatenate([np.ravel(t[i]) for t in triplets]) for i in range(3))
+        self.K = sp.csr_matrix((v[at >= 0], (at[at >= 0], j[at >= 0])),
+                               shape=((self.band_u + 1) * self.free.size, 3 * T + 2 * E))
 
         # distinct x1 of the volume and top-edge quadrature points, with the
         # gathers vol_at (T, 3) and top_at (E, 2) back onto the points
@@ -165,19 +171,15 @@ class Observation:
 
 
 def _factor(ws: FemWorkspace, S11, S12, S22, wq):
-    """Scatter and factor the reduced system: the one assembly path.
+    """Assemble and factor the reduced system: the one assembly path.
 
     S11, S12, S22 are the per-triangle integrals (T,) of the conductivity
-    entries, wq the Robin weights at the top-edge quadrature points (E, 2).
-    Returns (band, chol), the upper banded system and its Cholesky factor.
+    entries, wq the Robin weights at the top-edge quadrature points (E, 2),
+    which ws.K maps to the band.  Returns (band, chol), the upper banded
+    system and its Cholesky factor.
     """
-    k_loc = (S11[:, None, None] * ws.K11 + S12[:, None, None] * ws.K12
-             + S22[:, None, None] * ws.K22)
-    m_loc = np.einsum("eg,ga,gb->eab", wq, _EDGE_PHI, _EDGE_PHI)
-    data = np.concatenate([k_loc.ravel(), m_loc.ravel()])[ws.asm_keep]
-    shape = (ws.band_u + 1, ws.free.size)
-    band = np.bincount(ws.band_index, weights=data,
-                       minlength=shape[0] * shape[1]).reshape(shape)
+    c = np.concatenate([S11, S12, S22, np.ravel(wq)])
+    band = (ws.K @ c).reshape(ws.band_u + 1, ws.free.size)
     try:
         chol = la.cholesky_banded(band)
     except ValueError as exc:
@@ -206,11 +208,11 @@ def assemble(ws: FemWorkspace, profile, beta: np.ndarray) -> AssembledSystem:
     f_vol, df_vol, df_top = f[ws.vol_at], df[ws.vol_at], df[ws.top_at]
     s11, s12, s22 = pushforward_entries_from(f_vol, df_vol, ws.quad_pts[..., 1])
 
-    w = ws.areas / 3.0
+    # per-triangle integrals; `@ ones` sums the 3 points faster than np.sum
+    S11, S12, S22 = ws.areas / 3.0 * (np.stack([s11, s12, s22]) @ np.ones(3))
     coeff = np.exp(np.interp(ws.top_squad, ws.trace.s, beta))
     lw = _EDGE_W[None, :] * ws.top_len[:, None]
-    band, chol = _factor(ws, w * np.sum(s11, axis=1), w * np.sum(s12, axis=1),
-                         w * np.sum(s22, axis=1),
+    band, chol = _factor(ws, S11, S12, S22,
                          coeff * admittance_factor_from(df_top, ws.mesh.H) * lw)
     return AssembledSystem(band=band, chol=chol, ws=ws,
                            profile=(f_vol, df_vol, df_top), robin=coeff * lw)

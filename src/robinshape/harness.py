@@ -225,7 +225,7 @@ class SyntheticDataset:
         with open(json_path) as fh:
             header = json.load(fh)
         csv_path = os.path.join(os.path.dirname(json_path), header["csv"])
-        payload = np.loadtxt(csv_path, delimiter=",", skiprows=1)
+        payload = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
         return cls(y=payload[:, 0], y_noiseless=payload[:, 1],
                    delta_e=header["delta_e"], seed=header["seed"],
                    sensor_x1=np.asarray(header["sensor_x1"]),
@@ -421,7 +421,7 @@ def diagnose(chain_paths: list) -> dict:
     """Gelman-Rubin and MCSE tables from saved chain CSV files."""
     chains = []
     for path in chain_paths:
-        data = np.loadtxt(path, delimiter=",", skiprows=1)
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
         chains.append(data[:, :-2])  # drop J and accepted columns
     length = min(c.shape[0] for c in chains)
     chains = [c[:length] for c in chains]

@@ -3,9 +3,10 @@
 The parameter vector stacks the Fourier block (length 2p+1) and the nodal
 log-admittance block (length q).  One assembly and one factorization per
 evaluation are shared by the forward and adjoint solves.  The gradient and
-the Jacobian come from one kernel that contracts adjoint and forward
-solutions with the derivative of the system matrix: the gradient pairs each
-load with its residual adjoint, the Jacobian every load with each of the
+the Jacobian come from one kernel that pulls per-element products of forward
+and adjoint solutions back through the derivative of the system matrix: the
+gradient sums each load's products with its residual adjoint over loads and
+pulls back once, the Jacobian pulls back each load's products with the
 n_sensors sensor adjoints (32 solves at the default size, where the direct
 sensitivity method needed n * n_loads = 744).  The shape reaches the kernel
 only as the profile (f, df) kept by the assembly: the pointwise derivatives
@@ -63,6 +64,7 @@ class Problem:
         self.sensor_x1 = np.asarray(sensor_x1, dtype=float)
         self.n_loads = int(n_loads)
         self.B = fem.bottom_interpolator(self.ws, self.sensor_x1)
+        self.BT = self.B.T.tocsr()
         self.m_obs = self.sensor_x1.size * self.n_loads
         if self.data.shape != (self.m_obs,):
             raise ValueError("data length does not match sensors x loads")
@@ -73,6 +75,9 @@ class Problem:
         self.Vx, self.dVx = fourier_basis(p, mesh.L, self.ws.x1)
         self.Vq, self.dVq = self.Vx[self.ws.vol_at], self.dVx[self.ws.vol_at]
         self.dVt = self.dVx[self.ws.top_at]
+        # trace hat functions at the top-edge quadrature points (E, 2, q)
+        on_node = self.ws.top_edges[..., None] == self.trace.parent_nodes
+        self.hat_t = np.einsum("ga,eaj->egj", _EDGE_PHI, on_node.astype(float))
         # shape-independent pieces of the volume alpha-derivative sums:
         # the s11 derivative is the basis itself and the s12 derivative is
         # -x2 * basis', so their quadrature-weighted sums are constant
@@ -139,52 +144,55 @@ class Problem:
 
     # -- sensitivities ------------------------------------------------------
 
-    def _contract(self, system: fem.AssembledSystem, U: np.ndarray, W: np.ndarray,
-                  iu: np.ndarray, iw: np.ndarray) -> np.ndarray:
-        """(P, n) contractions w_{iw[p]}^T (dA/dm) u_{iu[p]} for the columns of
-        U and W paired by the index arrays iu, iw of length P: the one
-        sensitivity kernel behind the gradient and the Jacobian.  The profile
-        and Robin weights come from the assembly of system."""
-        f_vol, df_vol, df_top = system.profile
-        P = iu.size
+    def _element_values(self, X: np.ndarray):
+        """Triangle gradients (2, T, k) and top-edge values (E, 2, k) of X."""
+        grads = (self.grad_op @ X).reshape(2, -1, X.shape[1])
+        return grads, np.einsum("enk,gn->egk", X[self.ws.top_edges], _EDGE_PHI)
 
-        # volume part, alpha only: grad(w) . (dS/dalpha) grad(u); each column
-        # is differentiated once, then gathered into its pairs.  s22 depends
-        # on alpha through f and df: ds22/dalpha = a * basis + b * basis'
+    def _contract(self, system: fem.AssembledSystem, blocks) -> np.ndarray:
+        """Rows w^T (dA/dm) u from per-element pair products, the one
+        sensitivity kernel behind the gradient and the Jacobian.
+
+        blocks yields (vol, top) of K columns: vol[c, d] (T, K) holds
+        grad(u)_c grad(w)_d per triangle, top (E, 2, K) holds u w at the
+        top-edge quadrature points, and a column may sum several pairs.
+        Returns the (K, n) rows of all blocks stacked; the profile and Robin
+        weights of system's assembly are differentiated once for all blocks."""
+        f_vol, df_vol, df_top = system.profile
+        # volume part, alpha only: grad(w) . (dS/dalpha) grad(u).  s22
+        # depends on alpha through f and df: ds22/dalpha = a * basis + b * basis'
         a, b = pushforward_alpha_entries_from(f_vol, df_vol, self.ws.quad_pts[..., 1])
         D22 = (np.einsum("tg,tgi->ti", self.wg * a, self.Vq)
                + np.einsum("tg,tgi->ti", self.wg * b, self.dVq))
-        gu = (self.grad_op @ U).reshape(2, -1, U.shape[1])[..., iu]  # (2, T, P)
-        gw = (self.grad_op @ W).reshape(2, -1, W.shape[1])[..., iw]
-        g_alpha = ((gu[0] * gw[0]).T @ self.D11c
-                   + (gu[0] * gw[1] + gu[1] * gw[0]).T @ self.D12c
-                   + (gu[1] * gw[1]).T @ D22)
-
         # boundary part: exp(beta) times the admittance factor, differentiated
         # in alpha through the factor and in beta through the trace hat functions
-        edges = self.ws.top_edges
-        uw = (np.einsum("enp,gn->egp", U[edges], _EDGE_PHI)[..., iu]
-              * np.einsum("enp,gn->egp", W[edges], _EDGE_PHI)[..., iw])  # (E, 2, P)
-        wq = system.robin
-        dfac = admittance_alpha_entries_from(df_top, self.mesh.H)
-        g_alpha += np.einsum("egp,egi->pi", uw * (wq * dfac)[..., None], self.dVt)
-        fac = admittance_factor_from(df_top, self.mesh.H)
-        local = np.einsum("egp,ga->eap", uw * (wq * fac)[..., None], _EDGE_PHI)
-        g_beta = np.zeros((self.q, P))
-        np.add.at(g_beta, self.ws.node_to_trace[edges].ravel(), local.reshape(-1, P))
-        return np.concatenate([g_alpha, g_beta.T], axis=1)
+        D_top = np.concatenate([
+            (system.robin * admittance_alpha_entries_from(df_top, self.mesh.H))[..., None] * self.dVt,
+            (system.robin * admittance_factor_from(df_top, self.mesh.H))[..., None] * self.hat_t],
+            axis=2).reshape(-1, self.n)
+        rows = []
+        for vol, top in blocks:
+            g = top.reshape(-1, top.shape[2]).T @ D_top
+            g[:, :self.n_alpha] += (vol[0, 0].T @ self.D11c + (vol[0, 1] + vol[1, 0]).T @ self.D12c
+                                   + vol[1, 1].T @ D22)
+            rows.append(g)
+        return np.concatenate(rows)
 
     def gradient(self, m: np.ndarray,
                  evaluation: PotentialEvaluation | None = None) -> np.ndarray:
-        """Full gradient of J: the kernel on the forward solutions paired with
-        one residual adjoint per load, summed over loads, plus the prior."""
+        """Full gradient of J: the kernel on the products of the forward
+        solutions and their residual adjoints, summed over loads before the
+        pull-back to the parameters, plus the prior."""
         ev = evaluation if evaluation is not None else self.potential(m)
         if not np.isfinite(ev.J):
             raise InvalidShapeError("cannot differentiate at an invalid shape")
         r = (self.data - ev.obs).reshape(self.n_loads, -1)  # (loads, sensors)
-        V = ev.state.system.solve(self.inv_noise_var * (self.B.T @ r.T))
-        pairs = np.arange(self.n_loads)
-        g = self._contract(ev.state.system, ev.state.solutions, V, pairs, pairs).sum(axis=0)
+        V = ev.state.system.solve(self.inv_noise_var * (self.BT @ r.T))
+        gu, tu = self._element_values(ev.state.solutions)
+        gv, tv = self._element_values(V)
+        vol = np.einsum("ctl,dtl->cdt", gu, gv)[..., None]  # summed over loads
+        top = np.einsum("egl,egl->eg", tu, tv)[..., None]
+        g = self._contract(ev.state.system, [(vol, top)])[0]
         alpha, beta = self.split(m)
         g[:self.n_alpha] += self.alpha_prior.precision_diag * (alpha - self.alpha_prior.mean)
         g[self.n_alpha:] += self.beta_prior.precision @ (beta - self.beta_prior.mean)
@@ -203,16 +211,18 @@ class Problem:
 
         Row (k, s) is -w_s^T (dA/dm) u_k with w_s = A^-1 B^T e_s the adjoint of
         sensor s: n_sensors solves with the forward factorization, then the
-        gradient's kernel on every load-major (load, sensor) pair.
+        kernel on each load's products with every sensor adjoint, one load at
+        a time, which keeps the temporaries at (T, n_sensors).
         """
         ev = evaluation if evaluation is not None else self.potential(m)
         if not np.isfinite(ev.J):
             raise InvalidShapeError("cannot linearize at an invalid shape")
-        W = ev.state.system.solve(self.B.T.toarray())  # (N, sensors)
-        sensors = np.arange(W.shape[1])
-        return -self._contract(ev.state.system, ev.state.solutions, W,
-                               np.repeat(np.arange(self.n_loads), sensors.size),
-                               np.tile(sensors, self.n_loads))
+        W = ev.state.system.solve(self.BT.toarray())  # (N, sensors)
+        gu, tu = self._element_values(ev.state.solutions)
+        gw, tw = self._element_values(W)
+        return -self._contract(ev.state.system,
+                               ((gu[:, None, :, k, None] * gw[None], tu[..., k, None] * tw)
+                                for k in range(self.n_loads)))
 
     def linearize(self, m: np.ndarray):
         """(J, predicted observations, Jacobian) in one evaluation."""

@@ -85,6 +85,39 @@ def test_column_major_bandwidth(nx, ny, band_u):
     assert fem.FemWorkspace(build_slab_mesh(1.0, 0.05, nx, ny)).band_u == band_u
 
 
+@pytest.mark.parametrize("nx, ny", [(12, 3), (77, 7)])
+def test_band_operator_matches_local_scatter(nx, ny, rng):
+    # reference: per-element local matrices scattered into the upper band
+    # with bincount, the assembly that ws.K replaces
+    mesh = build_slab_mesh(1.0, 0.05, nx, ny)
+    ws = fem.FemWorkspace(mesh)
+    T, E = mesh.triangles.shape[0], ws.top_edges.shape[0]
+    # |S12| < sqrt(S11 S22) on every triangle keeps the system SPD
+    S11, S22 = rng.uniform(0.5, 2.0, (2, T)) * ws.areas
+    S12 = rng.uniform(-0.4, 0.4, T) * ws.areas
+    wq = rng.uniform(0.0, 1.0, (E, 2))
+    gx, gy = ws.grads[..., 0], ws.grads[..., 1]
+    k_loc = (S11[:, None, None] * gx[:, :, None] * gx[:, None, :]
+             + S12[:, None, None] * (gx[:, :, None] * gy[:, None, :]
+                                     + gy[:, :, None] * gx[:, None, :])
+             + S22[:, None, None] * gy[:, :, None] * gy[:, None, :])
+    m_loc = np.einsum("eg,ga,gb->eab", wq, fem._EDGE_PHI, fem._EDGE_PHI)
+    tri = mesh.triangles
+    rows = np.concatenate([np.repeat(tri, 3, axis=1).ravel(),
+                           np.repeat(ws.top_edges, 2, axis=1).ravel()])
+    cols = np.concatenate([np.tile(tri, (1, 3)).ravel(),
+                           np.tile(ws.top_edges, (1, 2)).ravel()])
+    r, c = ws.full_to_free[rows], ws.full_to_free[cols]
+    keep = (r >= 0) & (c >= 0) & (r <= c)
+    n = ws.free.size
+    ref = np.bincount(((ws.band_u + r - c) * n + c)[keep],
+                      weights=np.concatenate([k_loc.ravel(), m_loc.ravel()])[keep],
+                      minlength=(ws.band_u + 1) * n)
+    band = ws.K @ np.concatenate([S11, S12, S22, wq.ravel()])
+    assert np.max(np.abs(band - ref)) <= 1e-14 * np.max(np.abs(ref))
+    assert np.array_equal(fem._factor(ws, S11, S12, S22, wq)[0].ravel(), band)
+
+
 def test_indefinite_system_raises_solver_error():
     ws = fem.FemWorkspace(build_slab_mesh(1.0, 0.05, 12, 3))
     wq = np.zeros_like(ws.top_squad)

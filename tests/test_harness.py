@@ -222,6 +222,20 @@ def test_dataset_file_roundtrip(tmp_path):
     np.testing.assert_array_equal(back.truth_beta, ds.truth_beta)
 
 
+def test_single_observation_dataset_roundtrip(tmp_path):
+    # one load and one sensor write a one-row dataset.csv, which must read
+    # back as one observation rather than as a flat (y, y_noiseless) pair
+    cfg = small_config(tmp_path, n_loads=1, n_sensors=1)
+    ds = generate_data(cfg)
+    assert ds.y.shape == (1,)
+    jp, cp = str(tmp_path / "d.json"), str(tmp_path / "d.csv")
+    ds.to_files(jp, cp)
+    back = SyntheticDataset.from_files(jp)
+    assert np.array_equal(back.y, ds.y)
+    assert np.array_equal(back.y_noiseless, ds.y_noiseless)
+    assert back.y.shape == (1,) and back.n_loads == 1
+
+
 def test_default_problem_dimensions():
     cfg = ExperimentConfig()
     ds = generate_data(cfg)
