@@ -5,8 +5,8 @@ fixed reference slab via a push-forward transform."""
 from .geometry import BoundaryShape, InvalidShapeError, SampledProfile
 from .mesh import (InvalidMeshError, SlabMesh, TraceMesh, build_slab_mesh,
                    trace_of_top)
-from .fem import (AssembledSystem, ForwardState, Observation, SolverError,
-                  assemble, neumann_load, observe, solve_all, solve_deformed)
+from .fem import (AssembledSystem, ForwardState, SolverError, assemble,
+                  forward, neumann_load, solve_deformed)
 from .priors import AlphaPrior, BetaPrior, build_alpha_prior, build_beta_prior
 from .inverse import LinearGaussianProblem, Problem
 from .optimize import (GaussNewtonOptions, GaussNewtonReport,

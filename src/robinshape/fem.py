@@ -14,6 +14,8 @@ hundred x1 values.  `assemble` (push-forward tensor on the reference slab) and
 the verification path `solve_deformed` (isotropic operator on the stretched
 mesh, chord lengths on the slanted top edge) share `_factor`: one product with
 the per-mesh operator `FemWorkspace.K`, then one banded Cholesky factorization.
+`forward` solves every load and reads the bottom-edge sensors out load-major;
+the data generator, the inverse problem and `solve_deformed` all go through it.
 """
 from __future__ import annotations
 
@@ -161,13 +163,7 @@ class AssembledSystem:
 class ForwardState:
     solutions: np.ndarray  # (N, n_loads)
     system: AssembledSystem
-
-
-@dataclass
-class Observation:
-    y: np.ndarray  # load-major, length n_loads * n_sensors
-    sensor_x1: np.ndarray
-    n_loads: int
+    y: np.ndarray  # sensor values, load-major: length n_loads * n_sensors
 
 
 def _factor(ws: FemWorkspace, S11, S12, S22, wq):
@@ -237,17 +233,6 @@ def all_loads(ws: FemWorkspace, n_loads: int) -> np.ndarray:
     return np.column_stack([neumann_load(ws, k) for k in range(1, n_loads + 1)])
 
 
-def solve_all(system: AssembledSystem, n_loads: int) -> ForwardState:
-    """Solve the assembled system for load patterns k = 1..n_loads."""
-    if n_loads < 1:
-        raise ValueError("n_loads must be >= 1")
-    F = all_loads(system.ws, n_loads)
-    U = system.solve(F)
-    if not np.all(np.isfinite(U)):
-        raise SolverError("non-finite forward solution")
-    return ForwardState(solutions=U, system=system)
-
-
 def bottom_interpolator(ws: FemWorkspace, sensor_x1: np.ndarray) -> sp.csr_matrix:
     """Sparse operator mapping a full nodal vector to bottom-edge sensor values."""
     sensor_x1 = np.asarray(sensor_x1, dtype=float)
@@ -265,16 +250,17 @@ def bottom_interpolator(ws: FemWorkspace, sensor_x1: np.ndarray) -> sp.csr_matri
     return sp.csr_matrix((vals, (rows, cols)), shape=(sensor_x1.size, ws.mesh.n_nodes))
 
 
-def observe(state: ForwardState, sensor_x1) -> Observation:
-    """Interpolate each load's solution along the bottom edge (load-major)."""
-    sensor_x1 = np.asarray(sensor_x1, dtype=float)
-    B = bottom_interpolator(state.system.ws, sensor_x1)
-    y = (B @ state.solutions).T.ravel()
-    return Observation(y=y, sensor_x1=sensor_x1, n_loads=state.solutions.shape[1])
+def forward(system: AssembledSystem, loads: np.ndarray, B) -> ForwardState:
+    """Solve the assembled system for every load column (N, n_loads) and read
+    the solutions out through the sensor operator B: the one forward map."""
+    U = system.solve(loads)
+    if not np.all(np.isfinite(U)):
+        raise SolverError("non-finite forward solution")
+    return ForwardState(solutions=U, system=system, y=(B @ U).T.ravel())
 
 
 def solve_deformed(mesh: SlabMesh, shape, beta: np.ndarray, n_loads: int,
-                   sensor_x1) -> Observation:
+                   sensor_x1) -> ForwardState:
     """Direct solve on the physically deformed domain (verification path).
 
     The structured slab mesh is stretched vertically so that node row j sits
@@ -295,5 +281,5 @@ def solve_deformed(mesh: SlabMesh, shape, beta: np.ndarray, n_loads: int,
     wq = np.exp(np.interp(ws.top_squad, ws.trace.s, np.asarray(beta, dtype=float))) * (
         _EDGE_W[None, :] * lengths[:, None])
     band, chol = _factor(ws, ws.areas, np.zeros_like(ws.areas), ws.areas, wq)
-    state = solve_all(AssembledSystem(band=band, chol=chol, ws=ws), n_loads)
-    return observe(state, sensor_x1)
+    return forward(AssembledSystem(band=band, chol=chol, ws=ws), all_loads(ws, n_loads),
+                   bottom_interpolator(ws, sensor_x1))

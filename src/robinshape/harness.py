@@ -1,5 +1,8 @@
 """Experiment orchestration: configuration, inverse-crime-free synthetic data
-generation, MAP/Laplace and MCMC runs, and result export."""
+generation, MAP/Laplace and MCMC runs, and result export.  The data come from
+`fem.forward`, the inverse problem's forward map, on a finer mesh; every CSV
+artifact is written by `table_csv`; a config's truth parameters are checked
+against the profile's row of `TRUTH_PARAMS` when it is loaded."""
 from __future__ import annotations
 
 import dataclasses
@@ -13,7 +16,7 @@ import numpy as np
 from scipy import stats
 
 from . import fem, mala, optimize
-from .geometry import BoundaryShape, SampledProfile, fourier_basis
+from .geometry import SampledProfile, fourier_basis
 from .inverse import Problem
 from .mala import MalaSettings
 from .mesh import build_slab_mesh, trace_of_top
@@ -21,7 +24,7 @@ from .optimize import GaussNewtonOptions
 from .priors import build_alpha_prior, build_beta_prior
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     """Invalid or inconsistent experiment configuration."""
 
 
@@ -54,7 +57,6 @@ class ExperimentConfig:
     delta_beta2: float = 50.0
     corr_l: float = 10.0
     noise_percent: float = 1.0
-    noise_range_per_load: bool = False
     seed: int = 0
     output_dir: str = "out"
     gn: GaussNewtonOptions = field(default_factory=GaussNewtonOptions)
@@ -65,13 +67,11 @@ class ExperimentConfig:
             raise ConfigError("L and H must be positive")
         if self.n_loads < 1 or self.n_sensors < 1:
             raise ConfigError("need at least one load and one sensor")
+        truth_parameters(self.truth_profile, self.truth_params)
 
     def sensor_x1(self) -> np.ndarray:
         # equally spaced with half-spacing end offsets (avoids grounded corners)
         return (np.arange(self.n_sensors) + 0.5) * self.L / self.n_sensors
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -90,12 +90,25 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from exc
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        return json.dumps(dataclasses.asdict(self), indent=2)
 
     @classmethod
     def from_json_file(cls, path: str) -> "ExperimentConfig":
         with open(path) as fh:
             return cls.from_dict(json.load(fh))
+
+
+def table_csv(names: list, *columns) -> str:
+    """CSV text: a header of names, then one row per entry of the equally
+    long columns, each value written by repr so that floats read back
+    exactly.  Values become Python scalars 1024 rows at a time, so a long
+    chain never holds all of them as objects at once."""
+    columns = [np.asarray(c) for c in columns]
+    lines = [",".join(names)]
+    for i in range(0, len(columns[0]), 1024):
+        block = zip(*(c[i:i + 1024].tolist() for c in columns))
+        lines += [",".join(map(repr, row)) for row in block]
+    return "\n".join(lines) + "\n"
 
 
 def atomic_write(path: str, text: str):
@@ -127,6 +140,37 @@ def _smooth_cavity(x, center, halfwidth, steepness):
     return s((x - center + halfwidth) / steepness) * s((center + halfwidth - x) / steepness)
 
 
+# every key a config's truth_params may set, per profile, with its default;
+# None marks a key the profile needs
+TRUTH_PARAMS = {
+    "example1": {"depth": 0.2, "center": 0.5, "width": 0.12, "beta_base": 1.0,
+                 "beta_dip": 2.0, "beta_center": 0.6, "beta_width": 0.15},
+    "example2": {"noise_f": 0.01, "noise_beta": 0.05, "dip_depth": 0.25, "dip_center": 0.3,
+                 "dip_width": 0.15, "bump_height": 0.15, "bump_center": 0.8,
+                 "bump_width": 0.06, "beta_base": 0.5},
+    "example3": {"centers": (0.2, 0.5, 0.8), "depths": (0.35, 0.45, 0.4),
+                 "halfwidths": (0.05, 0.06, 0.05), "steepness": 0.008,
+                 "beta_base": 1.0, "beta_drop": 2.5},
+    "custom": dict.fromkeys(("f_x", "f_values", "beta_x", "beta_values")),
+}
+
+
+def truth_parameters(name: str, params: dict | None = None) -> dict:
+    """The parameters of truth profile name: its TRUTH_PARAMS row updated by
+    params.  Raises ConfigError for an unknown profile, an unknown key or a
+    missing required one."""
+    if name not in TRUTH_PARAMS:
+        raise ConfigError(f"unknown truth profile {name!r}")
+    unknown = set(params or {}) - set(TRUTH_PARAMS[name])
+    if unknown:
+        raise ConfigError(f"unknown {name} truth parameters: {sorted(unknown)}")
+    merged = {**TRUTH_PARAMS[name], **(params or {})}
+    missing = sorted(k for k, v in merged.items() if v is None)
+    if missing:
+        raise ConfigError(f"{name} truth needs the parameters {missing}")
+    return merged
+
+
 def truth_profiles(name: str, params: dict | None = None, L: float = 1.0,
                    rng: np.random.Generator | None = None):
     """Analytic truth profiles (boundary height f and log-admittance beta).
@@ -135,58 +179,36 @@ def truth_profiles(name: str, params: dict | None = None, L: float = 1.0,
     eval(x) -> (f, df) method and beta_fn maps arc-coordinates to values.
     example2 adds white noise to both curves and needs an rng.
     """
-    params = dict(params or {})
+    P = truth_parameters(name, params)
     x = np.linspace(0.0, L, 4096 + 1)
 
     if name == "example1":
-        depth = params.get("depth", 0.2)
-        center = params.get("center", 0.5)
-        width = params.get("width", 0.12)
-        fvals = 1.0 - depth * _gaussian_bump(x, center, width)
-        beta_fn = lambda s: (params.get("beta_base", 1.0)
-                             - params.get("beta_dip", 2.0)
-                             * _gaussian_bump(np.asarray(s), params.get("beta_center", 0.6),
-                                              params.get("beta_width", 0.15)))
-        return SampledProfile(x=x, values=fvals), beta_fn
-
-    if name == "example2":
+        fvals = 1.0 - P["depth"] * _gaussian_bump(x, P["center"], P["width"])
+        beta_fn = lambda s: (P["beta_base"] - P["beta_dip"]
+                             * _gaussian_bump(np.asarray(s), P["beta_center"], P["beta_width"]))
+    elif name == "example2":
         if rng is None:
             raise ValueError("example2 truth needs an rng for its white noise")
-        noise_f = params.get("noise_f", 0.01)
-        noise_beta = params.get("noise_beta", 0.05)
-        fvals = (1.0 - params.get("dip_depth", 0.25)
-                 * _gaussian_bump(x, params.get("dip_center", 0.3), params.get("dip_width", 0.15))
-                 + params.get("bump_height", 0.15)
-                 * _gaussian_bump(x, params.get("bump_center", 0.8), params.get("bump_width", 0.06)))
-        fvals = fvals + noise_f * rng.standard_normal(x.size)
-        beta_smooth = (params.get("beta_base", 0.5)
+        fvals = (1.0 - P["dip_depth"] * _gaussian_bump(x, P["dip_center"], P["dip_width"])
+                 + P["bump_height"] * _gaussian_bump(x, P["bump_center"], P["bump_width"]))
+        fvals = fvals + P["noise_f"] * rng.standard_normal(x.size)
+        beta_smooth = (P["beta_base"]
                        - 1.5 * _gaussian_bump(x, 0.35, 0.18)
                        + 1.0 * _gaussian_bump(x, 0.75, 0.1))
-        beta_vals = beta_smooth + noise_beta * rng.standard_normal(x.size)
+        beta_vals = beta_smooth + P["noise_beta"] * rng.standard_normal(x.size)
         beta_fn = lambda s: np.interp(np.asarray(s), x, beta_vals)
-        return SampledProfile(x=x, values=fvals), beta_fn
-
-    if name == "example3":
-        centers = params.get("centers", (0.2, 0.5, 0.8))
-        depths = params.get("depths", (0.35, 0.45, 0.4))
-        halfwidths = params.get("halfwidths", (0.05, 0.06, 0.05))
-        steepness = params.get("steepness", 0.008)
+    elif name == "example3":
         fvals = np.ones_like(x)
-        beta_vals = np.full_like(x, params.get("beta_base", 1.0))
-        for c, d, hw in zip(centers, depths, halfwidths):
-            cav = _smooth_cavity(x, c, hw, steepness)
+        beta_vals = np.full_like(x, P["beta_base"])
+        for c, d, hw in zip(P["centers"], P["depths"], P["halfwidths"]):
+            cav = _smooth_cavity(x, c, hw, P["steepness"])
             fvals = fvals - d * cav
-            beta_vals = beta_vals - params.get("beta_drop", 2.5) * cav
+            beta_vals = beta_vals - P["beta_drop"] * cav
         beta_fn = lambda s: np.interp(np.asarray(s), x, beta_vals)
-        return SampledProfile(x=x, values=fvals), beta_fn
-
-    if name == "custom":
-        fvals = np.interp(x, params["f_x"], params["f_values"])
-        bx, bv = np.asarray(params["beta_x"]), np.asarray(params["beta_values"])
-        beta_fn = lambda s: np.interp(np.asarray(s), bx, bv)
-        return SampledProfile(x=x, values=fvals), beta_fn
-
-    raise ValueError(f"unknown truth profile {name!r}")
+    else:  # custom
+        fvals = np.interp(x, P["f_x"], P["f_values"])
+        beta_fn = lambda s: np.interp(np.asarray(s), P["beta_x"], P["beta_values"])
+    return SampledProfile(x=x, values=fvals), beta_fn
 
 
 # -- synthetic data ----------------------------------------------------------
@@ -216,9 +238,7 @@ class SyntheticDataset:
             "csv": os.path.basename(csv_path),
         }
         atomic_write(json_path, json.dumps(header, indent=2))
-        lines = ["y,y_noiseless"]
-        lines += [f"{float(a)!r},{float(b)!r}" for a, b in zip(self.y, self.y_noiseless)]
-        atomic_write(csv_path, "\n".join(lines) + "\n")
+        atomic_write(csv_path, table_csv(["y", "y_noiseless"], self.y, self.y_noiseless))
 
     @classmethod
     def from_files(cls, json_path: str) -> "SyntheticDataset":
@@ -258,16 +278,10 @@ def generate_data(config: ExperimentConfig) -> SyntheticDataset:
 
     ws = fem.FemWorkspace(mesh)
     system = fem.assemble(ws, profile.eval(ws.x1), beta_true)
-    state = fem.solve_all(system, config.n_loads)
-    obs = fem.observe(state, config.sensor_x1())
-    y0 = obs.y
+    y0 = fem.forward(system, fem.all_loads(ws, config.n_loads),
+                     fem.bottom_interpolator(ws, config.sensor_x1())).y
 
-    if config.noise_range_per_load:
-        per = y0.reshape(config.n_loads, -1)
-        rng_span = float(np.mean(per.max(axis=1) - per.min(axis=1)))
-    else:
-        rng_span = float(y0.max() - y0.min())
-    delta_e = rng_span * config.noise_percent / 100.0
+    delta_e = float(y0.max() - y0.min()) * config.noise_percent / 100.0
     y = y0 + delta_e * rng_noise.standard_normal(y0.size)
 
     f_true, _ = profile.eval(trace.s)
@@ -300,13 +314,6 @@ class MapResult:
     problem: Problem
 
 
-def boundary_heights(problem: Problem, alpha: np.ndarray) -> np.ndarray:
-    """Physical boundary height H * f(s) at the trace nodes."""
-    shape = problem.shape_of(alpha)
-    f, _ = shape.eval(problem.trace.s)
-    return problem.mesh.H * f
-
-
 def run_map(config: ExperimentConfig, dataset: SyntheticDataset,
             problem: Problem | None = None) -> MapResult:
     """Gauss-Newton MAP estimate plus Laplace approximation; writes a JSON
@@ -317,11 +324,12 @@ def run_map(config: ExperimentConfig, dataset: SyntheticDataset,
 
     alpha_map, beta_map = problem.split(m_map)
     std = lap.marginal_std
-    # pointwise boundary-height std from the alpha covariance block
+    # boundary height H * f at the trace nodes, and its pointwise std from
+    # the alpha covariance block
     vals, _ = fourier_basis(problem.p, problem.mesh.L, problem.trace.s)
     cov_aa = lap.covariance[:problem.n_alpha, :problem.n_alpha]
     bnd_std = problem.mesh.H * np.sqrt(np.einsum("si,ij,sj->s", vals, cov_aa, vals))
-    bnd_map = boundary_heights(problem, alpha_map)
+    bnd_map = problem.mesh.H * (1.0 + vals @ alpha_map)
 
     out = config.output_dir
     rep = {
@@ -337,38 +345,26 @@ def run_map(config: ExperimentConfig, dataset: SyntheticDataset,
     }
     atomic_write(os.path.join(out, "map_report.json"), json.dumps(rep, indent=2))
 
-    def envelope_csv(s, center, sigma):
-        lines = ["s,center," + ",".join(f"lo{k},hi{k}" for k in (1, 2, 3))]
-        for i in range(len(s)):
-            row = [repr(float(s[i])), repr(float(center[i]))]
-            for k in (1, 2, 3):
-                row += [repr(float(center[i] - k * sigma[i])),
-                        repr(float(center[i] + k * sigma[i]))]
-            lines.append(",".join(row))
-        return "\n".join(lines) + "\n"
-
-    atomic_write(os.path.join(out, "boundary_envelope_laplace.csv"),
-                 envelope_csv(problem.trace.s, bnd_map, bnd_std))
-    atomic_write(os.path.join(out, "robin_envelope_laplace.csv"),
-                 envelope_csv(problem.trace.s, beta_map, std[problem.n_alpha:]))
+    names = ["s", "center"] + [f"{b}{k}" for k in (1, 2, 3) for b in ("lo", "hi")]
+    for field_name, center, sigma in (("boundary", bnd_map, bnd_std),
+                                      ("robin", beta_map, std[problem.n_alpha:])):
+        bands = [c for k in (1, 2, 3) for c in (center - k * sigma, center + k * sigma)]
+        atomic_write(os.path.join(out, f"{field_name}_envelope_laplace.csv"),
+                     table_csv(names, problem.trace.s, center, *bands))
     return MapResult(m_map=m_map, report=report, laplace=lap, problem=problem)
 
 
 @dataclass
 class McmcResult:
     chain: mala.ChainOutput
-    cm: np.ndarray
     summary: dict
 
 
 def chain_csv(problem: Problem, output: mala.ChainOutput) -> str:
     names = [f"alpha_{i}" for i in range(problem.n_alpha)]
     names += [f"beta_{j + 1}" for j in range(problem.q)]
-    lines = [",".join(names + ["J", "accepted"])]
-    for row, J, acc in zip(output.samples, output.J_trace, output.accept_flags):
-        lines.append(",".join([repr(float(v)) for v in row]
-                              + [repr(float(J)), str(int(acc))]))
-    return "\n".join(lines) + "\n"
+    return table_csv(names + ["J", "accepted"], *output.samples.T, output.J_trace,
+                     output.accept_flags.astype(int))
 
 
 def run_mcmc(config: ExperimentConfig, dataset: SyntheticDataset,
@@ -414,15 +410,13 @@ def run_mcmc(config: ExperimentConfig, dataset: SyntheticDataset,
         "robin_envelopes": rob_env,
     }
     atomic_write(os.path.join(out, "mcmc_summary.json"), json.dumps(summary, indent=2))
-    return McmcResult(chain=output, cm=cm, summary=summary)
+    return McmcResult(chain=output, summary=summary)
 
 
 def diagnose(chain_paths: list) -> dict:
     """Gelman-Rubin and MCSE tables from saved chain CSV files."""
-    chains = []
-    for path in chain_paths:
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        chains.append(data[:, :-2])  # drop J and accepted columns
+    # the states, without the J and accepted columns
+    chains = [np.loadtxt(p, delimiter=",", skiprows=1, ndmin=2)[:, :-2] for p in chain_paths]
     length = min(c.shape[0] for c in chains)
     chains = [c[:length] for c in chains]
     result = {"n_chains": len(chains), "length": length}

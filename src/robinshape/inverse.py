@@ -22,7 +22,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from . import fem
-from .geometry import (BoundaryShape, InvalidShapeError,
+from .geometry import (InvalidShapeError,
                        admittance_alpha_entries_from, admittance_factor_from,
                        fourier_basis, pushforward_alpha_entries_from)
 from .mesh import SlabMesh
@@ -35,7 +35,6 @@ class PotentialEvaluation:
     J: float
     misfit: float
     prior: float
-    obs: np.ndarray | None = None
     state: fem.ForwardState | None = None
 
 
@@ -60,6 +59,8 @@ class Problem:
         self.beta_prior = beta_prior
         self.data = np.asarray(data, dtype=float)
         self.noise_std = float(noise_std)
+        if not self.noise_std > 0.0:
+            raise ValueError(f"noise level must be positive, got {self.noise_std!r}")
         self.inv_noise_var = 1.0 / self.noise_std ** 2
         self.sensor_x1 = np.asarray(sensor_x1, dtype=float)
         self.n_loads = int(n_loads)
@@ -113,31 +114,26 @@ class Problem:
         P[self.n_alpha:, self.n_alpha:] = self.beta_prior.precision
         return P
 
-    def shape_of(self, alpha: np.ndarray) -> BoundaryShape:
-        return BoundaryShape(alpha=alpha, L=self.mesh.L, H=self.mesh.H)
-
     # -- forward machinery --------------------------------------------------
 
-    def forward(self, m: np.ndarray) -> tuple[fem.ForwardState, np.ndarray]:
+    def forward(self, m: np.ndarray) -> fem.ForwardState:
         """Assemble, solve all loads, observe.  Raises InvalidShapeError or
         fem.SolverError."""
         alpha, beta = self.split(m)
         system = fem.assemble(self.ws, (1.0 + self.Vx @ alpha, self.dVx @ alpha), beta)
-        state = fem.ForwardState(solutions=system.solve(self.loads), system=system)
-        obs = (self.B @ state.solutions).T.ravel()
-        return state, obs
+        return fem.forward(system, self.loads, self.B)
 
     def potential(self, m: np.ndarray) -> PotentialEvaluation:
         try:
-            state, obs = self.forward(m)
+            state = self.forward(m)
         except (InvalidShapeError, fem.SolverError):
             return PotentialEvaluation(J=np.inf, misfit=np.inf, prior=np.nan)
-        r = self.data - obs
+        r = self.data - state.y
         misfit = 0.5 * self.inv_noise_var * float(r @ r)
         alpha, beta = self.split(m)
         prior = self.alpha_prior.potential(alpha) + self.beta_prior.potential(beta)
         return PotentialEvaluation(J=misfit + prior, misfit=misfit, prior=prior,
-                                   obs=obs, state=state)
+                                   state=state)
 
     def potential_value(self, m: np.ndarray) -> float:
         return self.potential(m).J
@@ -186,7 +182,7 @@ class Problem:
         ev = evaluation if evaluation is not None else self.potential(m)
         if not np.isfinite(ev.J):
             raise InvalidShapeError("cannot differentiate at an invalid shape")
-        r = (self.data - ev.obs).reshape(self.n_loads, -1)  # (loads, sensors)
+        r = (self.data - ev.state.y).reshape(self.n_loads, -1)  # (loads, sensors)
         V = ev.state.system.solve(self.inv_noise_var * (self.BT @ r.T))
         gu, tu = self._element_values(ev.state.solutions)
         gv, tv = self._element_values(V)
@@ -229,7 +225,7 @@ class Problem:
         ev = self.potential(m)
         if not np.isfinite(ev.J):
             return np.inf, None, None
-        return ev.J, ev.obs, self.jacobian(m, evaluation=ev)
+        return ev.J, ev.state.y, self.jacobian(m, evaluation=ev)
 
 
 @dataclass
@@ -251,13 +247,6 @@ class LinearGaussianProblem:
         r = self.data - self.G @ m
         d = m - self.prior_mean
         return 0.5 * self.inv_noise_var * float(r @ r) + 0.5 * float(d @ self.prior_precision @ d)
-
-    def gradient(self, m: np.ndarray) -> np.ndarray:
-        return (self.inv_noise_var * self.G.T @ (self.G @ m - self.data)
-                + self.prior_precision @ (m - self.prior_mean))
-
-    def potential_and_gradient(self, m: np.ndarray):
-        return self.potential_value(m), self.gradient(m)
 
     def linearize(self, m: np.ndarray):
         return self.potential_value(m), self.G @ m, self.G

@@ -1,7 +1,6 @@
 """Structured triangulations of the reference slab and the 1-D top-edge trace."""
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,14 +31,6 @@ class SlabMesh:
     def n_nodes(self) -> int:
         return self.nodes.shape[0]
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "L": self.L, "H": self.H, "nx": self.nx, "ny": self.ny,
-            "nodes": self.nodes.tolist(),
-            "triangles": self.triangles.tolist(),
-            "edge_groups": {k: v.tolist() for k, v in self.edge_groups.items()},
-        })
-
 
 @dataclass(frozen=True)
 class TraceMesh:
@@ -49,7 +40,6 @@ class TraceMesh:
     """
 
     s: np.ndarray
-    intervals: np.ndarray
     parent_nodes: np.ndarray
 
     @property
@@ -114,6 +104,4 @@ def trace_of_top(mesh: SlabMesh) -> TraceMesh:
     node_ids = np.unique(top)
     order = np.argsort(mesh.nodes[node_ids, 0])
     parents = node_ids[order]
-    s = mesh.nodes[parents, 0].copy()
-    intervals = np.column_stack([np.arange(len(s) - 1), np.arange(1, len(s))])
-    return TraceMesh(s=s, intervals=intervals, parent_nodes=parents)
+    return TraceMesh(s=mesh.nodes[parents, 0].copy(), parent_nodes=parents)

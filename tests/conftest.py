@@ -4,6 +4,7 @@ import pytest
 
 from robinshape import build_alpha_prior, build_beta_prior, build_slab_mesh
 from robinshape import fem
+from robinshape.geometry import BoundaryShape
 from robinshape.inverse import Problem
 from robinshape.mesh import trace_of_top
 
@@ -29,7 +30,8 @@ def random_valid_parameters(problem, rng, alpha_scale=0.02, beta_scale=0.3):
     while True:
         m = np.concatenate([alpha_scale * rng.standard_normal(problem.n_alpha),
                             beta_scale * rng.standard_normal(problem.q)])
-        if problem.shape_of(m[:problem.n_alpha]).min_f() > 0.3:
+        shape = BoundaryShape(alpha=m[:problem.n_alpha], L=problem.mesh.L, H=problem.mesh.H)
+        if shape.min_f() > 0.3:
             return m
 
 
@@ -38,7 +40,7 @@ def self_consistent_problem(**kwargs):
     rng = np.random.default_rng(kwargs.pop("seed", 3))
     prob = small_problem(data=None, seed=0, **kwargs)
     m_true = random_valid_parameters(prob, rng)
-    _, y0 = prob.forward(m_true)
+    y0 = prob.forward(m_true).y
     prob = Problem(mesh=prob.mesh, p=prob.p, alpha_prior=prob.alpha_prior,
                    beta_prior=prob.beta_prior, data=y0, noise_std=prob.noise_std,
                    sensor_x1=prob.sensor_x1, n_loads=prob.n_loads)

@@ -49,8 +49,8 @@ def test_criterion_01_pushforward_invariance():
             mesh = build_slab_mesh(1.0, 0.05, nx, ny)
             ws = fem.FemWorkspace(mesh)
             beta = 0.8 + 0.5 * np.sin(2 * np.pi * ws.trace.s)
-            ref = fem.observe(fem.solve_all(fem.assemble(ws, shape.eval(ws.x1), beta), 8),
-                              sensors)
+            ref = fem.forward(fem.assemble(ws, shape.eval(ws.x1), beta), fem.all_loads(ws, 8),
+                              fem.bottom_interpolator(ws, sensors))
             def_obs = fem.solve_deformed(mesh, shape, beta, 8, sensors)
             disc.append(np.linalg.norm(ref.y - def_obs.y) / np.linalg.norm(def_obs.y))
         finest.append(disc[-1])
@@ -113,7 +113,7 @@ def test_criterion_03_gradient_jacobian_consistency():
         g_prior = np.concatenate([
             prob.alpha_prior.precision_diag * (alpha - prob.alpha_prior.mean),
             prob.beta_prior.precision @ (beta - prob.beta_prior.mean)])
-        g_ref = G.T @ (ev.obs - prob.data) / prob.noise_std ** 2 + g_prior
+        g_ref = G.T @ (ev.state.y - prob.data) / prob.noise_std ** 2 + g_prior
         worst = max(worst, float(np.max(np.abs(g - g_ref))
                                  / np.max(np.abs(g_ref))))
     ok = worst <= 1e-8

@@ -10,6 +10,12 @@ def flat_shape(p=2):
     return BoundaryShape(alpha=np.zeros(2 * p + 1), L=1.0, H=0.05)
 
 
+def forward(system, n_loads, sensors=(0.5,)):
+    """fem.forward for load patterns 1..n_loads, read at bottom-edge sensors."""
+    return fem.forward(system, fem.all_loads(system.ws, n_loads),
+                       fem.bottom_interpolator(system.ws, sensors))
+
+
 def hand_stiffness(mesh):
     """Independent P1 stiffness assembly with explicit per-triangle algebra."""
     n = mesh.n_nodes
@@ -212,7 +218,7 @@ def test_solve_residual_and_energy():
     alpha = np.array([0.0, 0.03, -0.02, 0.01, 0.02])
     beta = 0.4 * np.sin(2 * np.pi * ws.trace.s)
     system = fem.assemble(ws, BoundaryShape(alpha=alpha).eval(ws.x1), beta)
-    state = fem.solve_all(system, 4)
+    state = forward(system, 4)
     F = fem.all_loads(ws, 4)
     A = dense(system)
     for k in range(4):
@@ -230,7 +236,7 @@ def test_large_admittance_suppresses_top_potential():
     sup = []
     for b in (-2.0, 0.0, 2.0, 4.0, 7.0):
         system = fem.assemble(ws, flat_shape().eval(ws.x1), np.full(ws.trace.n_nodes, b))
-        state = fem.solve_all(system, 1)
+        state = forward(system, 1)
         sup.append(np.max(np.abs(state.solutions[tops, 0])))
     assert all(a > b for a, b in zip(sup, sup[1:]))
 
@@ -239,27 +245,29 @@ def test_observe_at_nodes_and_midpoints():
     mesh = build_slab_mesh(1.0, 0.05, 8, 2)
     ws = fem.FemWorkspace(mesh)
     system = fem.assemble(ws, flat_shape().eval(ws.x1), np.zeros(ws.trace.n_nodes))
-    state = fem.solve_all(system, 2)
+    state = forward(system, 2, np.array([0.25, 0.3125]))
     u = state.solutions
-    obs = fem.observe(state, np.array([0.25, 0.3125]))
     # bottom row nodes are 0..8 at spacing 1/8
-    assert np.isclose(obs.y[0], u[2, 0])
-    assert np.isclose(obs.y[1], 0.5 * (u[2, 0] + u[3, 0]))
-    assert obs.y.size == 4
+    assert np.isclose(state.y[0], u[2, 0])
+    assert np.isclose(state.y[1], 0.5 * (u[2, 0] + u[3, 0]))
+    assert state.y.size == 4
     # load-major layout: second half is load 2
-    assert np.isclose(obs.y[2], u[2, 1])
+    assert np.isclose(state.y[2], u[2, 1])
 
 
 def test_observe_layout_and_range_check():
     mesh = build_slab_mesh(1.0, 0.05, 16, 2)
     ws = fem.FemWorkspace(mesh)
     system = fem.assemble(ws, flat_shape().eval(ws.x1), np.zeros(ws.trace.n_nodes))
-    state = fem.solve_all(system, 8)
-    sensors = (np.arange(32) + 0.5) / 32
-    obs = fem.observe(state, sensors)
-    assert obs.y.size == 256
+    state = forward(system, 8, (np.arange(32) + 0.5) / 32)
+    assert state.y.size == 256
     with pytest.raises(ValueError):
-        fem.observe(state, np.array([-0.1]))
+        forward(system, 8, np.array([-0.1]))
+    # a solution that overflows is a solver failure, not data
+    loads = fem.all_loads(ws, 2)
+    loads[ws.free, 1] = 1e308
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(fem.SolverError):
+        fem.forward(system, loads, fem.bottom_interpolator(ws, [0.5]))
 
 
 def test_pushforward_invariance_moderate():
@@ -270,7 +278,7 @@ def test_pushforward_invariance_moderate():
     ws = fem.FemWorkspace(mesh)
     beta = 1.0 + 0.5 * np.sin(2 * np.pi * ws.trace.s)
     sensors = (np.arange(16) + 0.5) / 16
-    ref = fem.observe(fem.solve_all(fem.assemble(ws, shape.eval(ws.x1), beta), 3), sensors)
+    ref = forward(fem.assemble(ws, shape.eval(ws.x1), beta), 3, sensors)
     deformed = fem.solve_deformed(mesh, shape, beta, 3, sensors)
     rel = (np.linalg.norm(ref.y - deformed.y) / np.linalg.norm(deformed.y))
     assert rel < 1e-3
@@ -283,7 +291,7 @@ def test_flat_shape_deformed_solve_matches_pushforward():
     ws = fem.FemWorkspace(mesh)
     beta = 0.5 * np.sin(2 * np.pi * ws.trace.s)
     sensors = (np.arange(16) + 0.5) / 16
-    ref = fem.observe(fem.solve_all(fem.assemble(ws, flat_shape().eval(ws.x1), beta), 4), sensors)
+    ref = forward(fem.assemble(ws, flat_shape().eval(ws.x1), beta), 4, sensors)
     deformed = fem.solve_deformed(mesh, flat_shape(), beta, 4, sensors)
     assert np.linalg.norm(ref.y - deformed.y) <= 1e-12 * np.linalg.norm(ref.y)
 

@@ -52,6 +52,14 @@ def test_config_rejects_unknown_keys():
         ExperimentConfig.from_dict({"L": -1.0})
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict({"n_sensors": 0})
+    # truth profiles: an unknown name, a misspelt or foreign key, a missing
+    # required key
+    for d in ({"truth_profile": "example9"}, {"truth_params": {"dpeth": 0.4}},
+              {"truth_profile": "example3", "truth_params": {"depth": 0.4}},
+              {"truth_profile": "custom", "truth_params": {"f_x": [0.0, 1.0]}}):
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict(d)
+    assert ExperimentConfig.from_dict({"truth_params": {"depth": 0.4}}).truth_params == {"depth": 0.4}
 
 
 def test_out_of_range_settings_rejected_before_any_work(tmp_path):
@@ -191,7 +199,8 @@ def test_flat_truth_zero_noise_matches_reference_solve(tmp_path):
     ws = fem.FemWorkspace(mesh)
     shape = BoundaryShape(alpha=np.zeros(15), L=cfg.L, H=cfg.H)
     system = fem.assemble(ws, shape.eval(ws.x1), np.zeros(ws.trace.n_nodes))
-    ref = fem.observe(fem.solve_all(system, cfg.n_loads), cfg.sensor_x1())
+    ref = fem.forward(system, fem.all_loads(ws, cfg.n_loads),
+                      fem.bottom_interpolator(ws, cfg.sensor_x1()))
     np.testing.assert_allclose(ds.y_noiseless, ref.y, atol=1e-12)
 
 
@@ -346,6 +355,48 @@ def test_cli_pipeline_exit_codes(tmp_path):
                                             "check_interval": 200,
                                             "mcse_threshold": 1e-6})
     assert cli.main(["sample", "--config", path3]) == 3
+
+
+def test_cli_reproduce_example_with_config(tmp_path):
+    # the example number picks the truth profile; the file's output_dir holds
+    path, cfg = write_config(tmp_path, mala={"burn_in": 0, "max_steps": 100,
+                                             "check_interval": 100,
+                                             "mcse_threshold": 1e-6})
+    assert cli.main(["reproduce-example", "3", "--config", path]) == 3
+    with open(os.path.join(cfg.output_dir, "config.json")) as fh:
+        written = json.load(fh)
+    assert written["truth_profile"] == "example3"
+    assert written["output_dir"] == cfg.output_dir
+    assert sorted(os.listdir(cfg.output_dir)) == [
+        "boundary_envelope_laplace.csv", "chain.csv", "config.json", "dataset.csv",
+        "dataset.json", "map_report.json", "mcmc_summary.json",
+        "robin_envelope_laplace.csv"]
+    # the dataset is the one generate-data writes for example3
+    ds = generate_data(dataclasses.replace(cfg, truth_profile="example3"))
+    assert np.array_equal(SyntheticDataset.from_files(
+        os.path.join(cfg.output_dir, "dataset.json")).y, ds.y)
+
+
+def test_cli_sample_after_failed_map_exits_2(tmp_path):
+    path, cfg = write_config(tmp_path, gn={"max_iters": 0},
+                             mala={"burn_in": 0, "max_steps": 100, "check_interval": 100})
+    assert cli.main(["generate-data", "--config", path]) == 0
+    assert cli.main(["map", "--config", path]) == 2
+    assert cli.main(["sample", "--config", path]) == 2
+    with open(os.path.join(cfg.output_dir, "map_report.json")) as fh:
+        assert json.load(fh)["gauss_newton"]["reason"] == "iteration cap"
+
+
+def test_cli_map_rejects_zero_noise_level(tmp_path, capsys):
+    # a zero noise level (set directly, or from the zero data range of one
+    # observation) leaves no likelihood: exit 1 with a message, no traceback
+    for overrides in ({"noise_percent": 0.0}, {"n_loads": 1, "n_sensors": 1}):
+        path, cfg = write_config(tmp_path, **overrides)
+        assert cli.main(["generate-data", "--config", path]) == 0
+        assert SyntheticDataset.from_files(
+            os.path.join(cfg.output_dir, "dataset.json")).delta_e == 0.0
+        assert cli.main(["map", "--config", path]) == 1
+        assert "noise level must be positive" in capsys.readouterr().err
 
 
 def test_cli_invalid_config_exit_code(tmp_path):

@@ -22,8 +22,7 @@ def test_potential_recomposition(rng):
     prob = small_problem()
     m = random_valid_parameters(prob, rng)
     ev = prob.potential(m)
-    _, obs = prob.forward(m)
-    r = prob.data - obs
+    r = prob.data - prob.forward(m).y
     misfit = 0.5 * float(r @ r) / prob.noise_std ** 2
     alpha, beta = prob.split(m)
     prior = prob.alpha_prior.potential(alpha) + prob.beta_prior.potential(beta)
@@ -96,14 +95,14 @@ def check_adjoint_matches_jacobian(prob, rng, n_points):
         g_prior = np.concatenate([
             prob.alpha_prior.precision_diag * (alpha - prob.alpha_prior.mean),
             prob.beta_prior.precision @ (beta - prob.beta_prior.mean)])
-        g_jac = G.T @ (ev.obs - prob.data) / prob.noise_std ** 2 + g_prior
+        g_jac = G.T @ (ev.state.y - prob.data) / prob.noise_std ** 2 + g_prior
         np.testing.assert_allclose(g_adj, g_jac,
                                    atol=1e-8 * np.max(np.abs(g_adj)))
         # directional agreement of the misfit parts
         for _ in range(20):
             d = rng.standard_normal(prob.n)
             lhs = (g_adj - g_prior) @ d
-            rhs = (G @ d) @ (ev.obs - prob.data) / prob.noise_std ** 2
+            rhs = (G @ d) @ (ev.state.y - prob.data) / prob.noise_std ** 2
             assert abs(lhs - rhs) <= 1e-8 * max(abs(lhs), 1.0)
 
 
@@ -147,7 +146,7 @@ def test_jacobian_columns_fd(rng):
     for i in range(prob.n):
         e = np.zeros(prob.n)
         e[i] = h
-        fd = (prob.forward(m + e)[1] - prob.forward(m - e)[1]) / (2 * h)
+        fd = (prob.forward(m + e).y - prob.forward(m - e).y) / (2 * h)
         np.testing.assert_allclose(G[:, i], fd, rtol=1e-5,
                                    atol=1e-5 * np.max(np.abs(fd)))
 
