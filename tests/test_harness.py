@@ -358,7 +358,7 @@ def test_cli_pipeline_exit_codes(tmp_path):
 
 
 def test_cli_reproduce_example_with_config(tmp_path):
-    # the example number picks the truth profile; the file's output_dir holds
+    # the example number picks the truth profile; the file keeps its output_dir
     path, cfg = write_config(tmp_path, mala={"burn_in": 0, "max_steps": 100,
                                              "check_interval": 100,
                                              "mcse_threshold": 1e-6})
