@@ -7,7 +7,8 @@ from .mesh import (InvalidMeshError, SlabMesh, TraceMesh, build_slab_mesh,
                    trace_of_top)
 from .fem import (AssembledSystem, ForwardState, SolverError, assemble,
                   forward, neumann_load, solve_deformed)
-from .priors import AlphaPrior, BetaPrior, build_alpha_prior, build_beta_prior
+from .priors import (GaussianPrior, build_alpha_prior, build_beta_prior,
+                     joint_prior)
 from .inverse import LinearGaussianProblem, Problem
 from .optimize import (GaussNewtonOptions, GaussNewtonReport,
                        LaplaceApproximation, gauss_newton, laplace)

@@ -21,7 +21,7 @@ from .inverse import Problem
 from .mala import MalaSettings
 from .mesh import build_slab_mesh, trace_of_top
 from .optimize import GaussNewtonOptions
-from .priors import build_alpha_prior, build_beta_prior
+from .priors import build_alpha_prior, build_beta_prior, joint_prior
 
 
 class ConfigError(ValueError):
@@ -63,10 +63,19 @@ class ExperimentConfig:
     mala: MalaSettings = field(default_factory=MalaSettings)
 
     def __post_init__(self):
-        if self.L <= 0 or self.H <= 0:
+        if not (self.L > 0 and self.H > 0):
             raise ConfigError("L and H must be positive")
-        if self.n_loads < 1 or self.n_sensors < 1:
-            raise ConfigError("need at least one load and one sensor")
+        for name, least in (("n_loads", 1), ("n_sensors", 1), ("p", 0), ("seed", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be an integer")
+            if value < least:
+                raise ConfigError(f"{name} must be at least {least}")
+        for name in ("sigma_alpha2", "delta_beta2", "corr_l"):
+            if not getattr(self, name) > 0:
+                raise ConfigError(f"{name} must be positive")
+        if not self.noise_percent >= 0:
+            raise ConfigError("noise_percent must be non-negative")
         truth_parameters(self.truth_profile, self.truth_params)
 
     def sensor_x1(self) -> np.ndarray:
@@ -298,10 +307,9 @@ def build_problem(config: ExperimentConfig, dataset: SyntheticDataset) -> Proble
     mesh = build_slab_mesh(config.L, config.H, config.inversion_mesh.nx,
                            config.inversion_mesh.ny)
     trace = trace_of_top(mesh)
-    alpha_prior = build_alpha_prior(config.p, config.sigma_alpha2, config.s_alpha)
-    beta_prior = build_beta_prior(trace, config.delta_beta2, config.corr_l)
-    return Problem(mesh=mesh, p=config.p, alpha_prior=alpha_prior,
-                   beta_prior=beta_prior, data=dataset.y,
+    prior = joint_prior(build_alpha_prior(config.p, config.sigma_alpha2, config.s_alpha),
+                        build_beta_prior(trace, config.delta_beta2, config.corr_l))
+    return Problem(mesh=mesh, p=config.p, prior=prior, data=dataset.y,
                    noise_std=dataset.delta_e, sensor_x1=dataset.sensor_x1,
                    n_loads=dataset.n_loads)
 
@@ -320,7 +328,7 @@ def run_map(config: ExperimentConfig, dataset: SyntheticDataset,
     report and CSV envelope tables to the output directory."""
     problem = problem or build_problem(config, dataset)
     m_map, report = optimize.gauss_newton(problem, problem.prior_mean, config.gn)
-    lap = optimize.laplace(problem, m_map)
+    lap = optimize.laplace(m_map, report.hessian)
 
     alpha_map, beta_map = problem.split(m_map)
     std = lap.marginal_std

@@ -26,7 +26,7 @@ from .geometry import (InvalidShapeError,
                        admittance_alpha_entries_from, admittance_factor_from,
                        fourier_basis, pushforward_alpha_entries_from)
 from .mesh import SlabMesh
-from .priors import AlphaPrior, BetaPrior
+from .priors import GaussianPrior
 from .fem import _EDGE_PHI
 
 
@@ -45,9 +45,9 @@ class Problem:
     J(m) = 0.5 |y - G(m)|^2 / delta_e^2 + prior potential.
     """
 
-    def __init__(self, mesh: SlabMesh, p: int, alpha_prior: AlphaPrior,
-                 beta_prior: BetaPrior, data: np.ndarray, noise_std: float,
-                 sensor_x1: np.ndarray, n_loads: int):
+    def __init__(self, mesh: SlabMesh, p: int, prior: GaussianPrior,
+                 data: np.ndarray, noise_std: float, sensor_x1: np.ndarray,
+                 n_loads: int):
         self.ws = fem.FemWorkspace(mesh)
         self.mesh = mesh
         self.trace = self.ws.trace
@@ -55,8 +55,11 @@ class Problem:
         self.n_alpha = 2 * p + 1
         self.q = self.trace.n_nodes
         self.n = self.n_alpha + self.q
-        self.alpha_prior = alpha_prior
-        self.beta_prior = beta_prior
+        if prior.mean.shape != (self.n,):
+            raise ValueError(f"prior must be over {self.n} parameters")
+        self.prior = prior
+        self.prior_mean = prior.mean
+        self.prior_precision = prior.precision
         self.data = np.asarray(data, dtype=float)
         self.noise_std = float(noise_std)
         if not self.noise_std > 0.0:
@@ -103,17 +106,6 @@ class Problem:
             raise ValueError(f"parameter vector must have length {self.n}")
         return m[:self.n_alpha], m[self.n_alpha:]
 
-    @property
-    def prior_mean(self) -> np.ndarray:
-        return np.concatenate([self.alpha_prior.mean, self.beta_prior.mean])
-
-    @property
-    def prior_precision(self) -> np.ndarray:
-        P = np.zeros((self.n, self.n))
-        P[:self.n_alpha, :self.n_alpha] = np.diag(self.alpha_prior.precision_diag)
-        P[self.n_alpha:, self.n_alpha:] = self.beta_prior.precision
-        return P
-
     # -- forward machinery --------------------------------------------------
 
     def forward(self, m: np.ndarray) -> fem.ForwardState:
@@ -130,8 +122,7 @@ class Problem:
             return PotentialEvaluation(J=np.inf, misfit=np.inf, prior=np.nan)
         r = self.data - state.y
         misfit = 0.5 * self.inv_noise_var * float(r @ r)
-        alpha, beta = self.split(m)
-        prior = self.alpha_prior.potential(alpha) + self.beta_prior.potential(beta)
+        prior = self.prior.potential(m)
         return PotentialEvaluation(J=misfit + prior, misfit=misfit, prior=prior,
                                    state=state)
 
@@ -188,11 +179,8 @@ class Problem:
         gv, tv = self._element_values(V)
         vol = np.einsum("ctl,dtl->cdt", gu, gv)[..., None]  # summed over loads
         top = np.einsum("egl,egl->eg", tu, tv)[..., None]
-        g = self._contract(ev.state.system, [(vol, top)])[0]
-        alpha, beta = self.split(m)
-        g[:self.n_alpha] += self.alpha_prior.precision_diag * (alpha - self.alpha_prior.mean)
-        g[self.n_alpha:] += self.beta_prior.precision @ (beta - self.beta_prior.mean)
-        return g
+        return (self._contract(ev.state.system, [(vol, top)])[0]
+                + self.prior_precision @ (m - self.prior_mean))
 
     def potential_and_gradient(self, m: np.ndarray):
         """(J, grad) with grad None when the shape is invalid (MALA target)."""

@@ -1,5 +1,7 @@
 """MAP estimation by Gauss-Newton with Armijo backtracking, and the local
-Gaussian (Laplace) posterior approximation at the MAP point."""
+Gaussian (Laplace) posterior approximation at the MAP point.  Gauss-Newton
+reports the GN Hessian at the iterate it returns, and the Laplace covariance
+is its inverse, so the MAP point is linearised once."""
 from __future__ import annotations
 
 import numbers
@@ -44,6 +46,7 @@ class GaussNewtonReport:
     converged: bool = False
     reason: str = ""
     n_iters: int = 0
+    hessian: np.ndarray | None = None  # GN Hessian at the returned iterate
 
     def to_dict(self) -> dict:
         return {"J_values": [float(v) for v in self.J_values],
@@ -78,7 +81,8 @@ def _gn_system(problem, m: np.ndarray):
 def gauss_newton(problem, m0: np.ndarray,
                  opts: GaussNewtonOptions | None = None):
     """Minimize the posterior potential; terminate when the gradient norm has
-    dropped by opts.grad_reduction.  Returns (m_map, report)."""
+    dropped by opts.grad_reduction.  Returns (m_map, report), with the GN
+    Hessian at m_map in report.hessian."""
     opts = opts or GaussNewtonOptions()
     m = np.asarray(m0, dtype=float).copy()
     report = GaussNewtonReport()
@@ -126,16 +130,15 @@ def gauss_newton(problem, m0: np.ndarray,
 
     report.converged = report.reason in ("gradient reduction reached", "stationary point")
     report.n_iters = it
+    report.hessian = H
     return m, report
 
 
-def laplace(problem, m_map: np.ndarray) -> LaplaceApproximation:
-    """Gaussian posterior approximation: covariance = inverse GN Hessian."""
-    _, _, H = _gn_system(problem, np.asarray(m_map, dtype=float))
-    if H is None:
-        raise ValueError("cannot build a Laplace approximation at an invalid shape")
-    chol_H = sla.cholesky(H, lower=True)
-    cov = sla.cho_solve((chol_H, True), np.eye(H.shape[0]))
+def laplace(m_map: np.ndarray, hessian: np.ndarray) -> LaplaceApproximation:
+    """Gaussian posterior approximation at m_map: covariance = inverse of the
+    GN Hessian there, such as gauss_newton's report.hessian."""
+    chol_H = sla.cholesky(hessian, lower=True)
+    cov = sla.cho_solve((chol_H, True), np.eye(hessian.shape[0]))
     cov = 0.5 * (cov + cov.T)
     chol_cov = sla.cholesky(cov, lower=True)
     return LaplaceApproximation(mean=np.asarray(m_map, dtype=float).copy(),

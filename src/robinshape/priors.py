@@ -1,6 +1,8 @@
-"""Gaussian priors: diagonal spectrum for the Fourier coefficients, and a
-1-D elliptic-operator precision (with endpoint Robin closure) for the
-log-admittance on the trace mesh."""
+"""Gaussian priors, each one `GaussianPrior` (mean, precision, lower Cholesky
+factor of the precision): a diagonal spectrum for the Fourier coefficients,
+a 1-D elliptic-operator precision (with endpoint Robin closure) for the
+log-admittance on the trace mesh, and `joint_prior`, the block-diagonal join
+of independent blocks into the prior of the stacked parameter vector."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -12,61 +14,42 @@ from .mesh import TraceMesh
 
 
 @dataclass(frozen=True)
-class AlphaPrior:
+class GaussianPrior:
     mean: np.ndarray
-    variances: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.mean.size
-
-    @property
-    def precision_diag(self) -> np.ndarray:
-        return 1.0 / self.variances
-
-    def potential(self, alpha: np.ndarray) -> float:
-        d = np.asarray(alpha) - self.mean
-        return 0.5 * float(d @ (d / self.variances))
-
-    def sample(self, rng: np.random.Generator, xi: np.ndarray | None = None) -> np.ndarray:
-        if xi is None:
-            xi = rng.standard_normal(self.n)
-        return self.mean + np.sqrt(self.variances) * xi
-
-
-@dataclass(frozen=True)
-class BetaPrior:
-    mean: np.ndarray
-    precision: np.ndarray          # dense (q, q), includes the delta_beta^2 scaling
+    precision: np.ndarray          # dense (n, n)
     chol_precision: np.ndarray     # lower Cholesky factor of the precision
 
     @property
-    def n(self) -> int:
-        return self.mean.size
-
-    @property
     def covariance(self) -> np.ndarray:
-        return sla.cho_solve((self.chol_precision, True), np.eye(self.n))
+        return sla.cho_solve((self.chol_precision, True), np.eye(self.mean.size))
 
-    def potential(self, beta: np.ndarray) -> float:
-        d = np.asarray(beta) - self.mean
+    def potential(self, m: np.ndarray) -> float:
+        d = np.asarray(m) - self.mean
         return 0.5 * float(d @ self.precision @ d)
 
     def sample(self, rng: np.random.Generator, xi: np.ndarray | None = None) -> np.ndarray:
         # precision = L L^T  =>  cov factor is L^{-T}
         if xi is None:
-            xi = rng.standard_normal(self.n)
+            xi = rng.standard_normal(self.mean.size)
         return self.mean + sla.solve_triangular(self.chol_precision, xi,
                                                 lower=True, trans="T")
 
 
-def build_alpha_prior(p: int, sigma_alpha2: float, s_alpha: float) -> AlphaPrior:
+def joint_prior(*blocks: GaussianPrior) -> GaussianPrior:
+    """The prior of the stacked vector of independent blocks."""
+    return GaussianPrior(mean=np.concatenate([b.mean for b in blocks]),
+                         precision=sla.block_diag(*(b.precision for b in blocks)),
+                         chol_precision=sla.block_diag(*(b.chol_precision for b in blocks)))
+
+
+def build_alpha_prior(p: int, sigma_alpha2: float, s_alpha: float) -> GaussianPrior:
     """Frequency-n coefficient pairs get variance sigma_alpha2 * (n+1)^s_alpha."""
     if sigma_alpha2 <= 0:
         raise ValueError("sigma_alpha2 must be positive")
     n_freq = np.concatenate([[0], np.repeat(np.arange(1, p + 1), 2)])
-    variances = sigma_alpha2 * (n_freq + 1.0) ** s_alpha
-    return AlphaPrior(mean=np.zeros(2 * p + 1), variances=variances)
+    precision = 1.0 / (sigma_alpha2 * (n_freq + 1.0) ** s_alpha)
+    return GaussianPrior(mean=np.zeros(2 * p + 1), precision=np.diag(precision),
+                         chol_precision=np.diag(np.sqrt(precision)))
 
 
 def trace_fem_matrices(trace: TraceMesh):
@@ -88,7 +71,7 @@ def trace_fem_matrices(trace: TraceMesh):
     return K, M
 
 
-def build_beta_prior(trace: TraceMesh, delta_beta2: float, corr_l: float) -> BetaPrior:
+def build_beta_prior(trace: TraceMesh, delta_beta2: float, corr_l: float) -> GaussianPrior:
     """Covariance delta_beta^2 (K + l^2 M + R)^{-1} with the rank-2 endpoint
     correction R = l * (e_first e_first^T + e_last e_last^T)."""
     if delta_beta2 <= 0 or corr_l <= 0:
@@ -99,6 +82,5 @@ def build_beta_prior(trace: TraceMesh, delta_beta2: float, corr_l: float) -> Bet
     A[-1, -1] += corr_l
     precision = A / delta_beta2
     chol = sla.cholesky(precision, lower=True)
-    return BetaPrior(mean=np.zeros(trace.n_nodes), precision=precision,
-                     chol_precision=chol)
-
+    return GaussianPrior(mean=np.zeros(trace.n_nodes), precision=precision,
+                         chol_precision=chol)

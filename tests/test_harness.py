@@ -5,12 +5,13 @@ import os
 import numpy as np
 import pytest
 
-from robinshape import cli, fem, harness
+from robinshape import cli, fem, harness, optimize
 from robinshape.geometry import BoundaryShape, fourier_basis
 from robinshape.harness import (ConfigError, ExperimentConfig, MeshSpec,
                                 SyntheticDataset, build_problem, chain_csv,
                                 generate_data, run_map, run_mcmc,
                                 truth_profiles)
+from robinshape.inverse import Problem
 from robinshape.mesh import build_slab_mesh
 
 
@@ -69,7 +70,10 @@ def test_out_of_range_settings_rejected_before_any_work(tmp_path):
                 {"mala": {"tau_init": 0.0}}, {"gn": {"c1": 0.0}},
                 {"mala": {"max_steps": 150.5, "burn_in": 10}}, {"mala": {"burn_in": 10.0}},
                 {"gn": {"max_iters": 5.5}}, {"mala": {"check_interval": True}},
-                {"inversion_mesh": {"nx": 77.5, "ny": 7}}):
+                {"inversion_mesh": {"nx": 77.5, "ny": 7}},
+                {"n_sensors": 4.5}, {"n_loads": 8.5}, {"p": 7.5}, {"seed": 2.0},
+                {"n_loads": True}, {"p": -1}, {"seed": -1}, {"sigma_alpha2": -1},
+                {"delta_beta2": 0.0}, {"corr_l": -10.0}, {"noise_percent": -1.0}):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(bad)
         path = str(tmp_path / "bad.json")
@@ -280,6 +284,29 @@ def test_run_map_artifacts(small_pipeline):
         assert np.all(payload[:, 2] <= payload[:, 1] + 1e-15)
         assert np.all(payload[:, 1] >= payload[:, 6])
         assert np.all(payload[:, 3] >= payload[:, 2])
+
+
+@pytest.mark.parametrize("gn", [{}, {"max_iters": 0}])
+def test_run_map_linearizes_each_gauss_newton_point_once(tmp_path, monkeypatch, gn):
+    # Gauss-Newton linearises at its start and after each accepted step; the
+    # Laplace covariance comes from the Hessian of the point it returns
+    cfg = small_config(tmp_path, gn=gn)
+    ds = generate_data(cfg)
+    calls = []
+    linearize = Problem.linearize
+
+    def counted(self, m):
+        calls.append(1)
+        return linearize(self, m)
+
+    monkeypatch.setattr(Problem, "linearize", counted)
+    result = run_map(cfg, ds)
+    assert result.report.reason == ("iteration cap" if gn else "gradient reduction reached")
+    assert len(calls) == result.report.n_iters + 1
+    H = optimize._gn_system(result.problem, result.m_map)[2]
+    np.testing.assert_array_equal(result.report.hessian, H)
+    np.testing.assert_array_equal(result.laplace.covariance,
+                                  optimize.laplace(result.m_map, H).covariance)
 
 
 def test_run_mcmc_artifacts(small_pipeline):

@@ -24,8 +24,7 @@ def test_potential_recomposition(rng):
     ev = prob.potential(m)
     r = prob.data - prob.forward(m).y
     misfit = 0.5 * float(r @ r) / prob.noise_std ** 2
-    alpha, beta = prob.split(m)
-    prior = prob.alpha_prior.potential(alpha) + prob.beta_prior.potential(beta)
+    prior = prob.prior.potential(m)
     assert abs(ev.J - (misfit + prior)) <= 1e-12 * ev.J
     assert np.isclose(ev.misfit, misfit) and np.isclose(ev.prior, prior)
 
@@ -43,10 +42,7 @@ def test_self_consistent_minimum():
     assert ev.misfit == 0.0
     # gradient at the truth is the pure prior gradient
     g = prob.gradient(m_true)
-    alpha, beta = prob.split(m_true)
-    g_prior = np.concatenate([
-        prob.alpha_prior.precision_diag * (alpha - prob.alpha_prior.mean),
-        prob.beta_prior.precision @ (beta - prob.beta_prior.mean)])
+    g_prior = prob.prior_precision @ (m_true - prob.prior_mean)
     np.testing.assert_allclose(g, g_prior, atol=1e-10 * np.max(np.abs(g_prior)))
 
 
@@ -91,10 +87,7 @@ def check_adjoint_matches_jacobian(prob, rng, n_points):
         ev = prob.potential(m)
         g_adj = prob.gradient(m, evaluation=ev)
         G = prob.jacobian(m, evaluation=ev)
-        alpha, beta = prob.split(m)
-        g_prior = np.concatenate([
-            prob.alpha_prior.precision_diag * (alpha - prob.alpha_prior.mean),
-            prob.beta_prior.precision @ (beta - prob.beta_prior.mean)])
+        g_prior = prob.prior_precision @ (m - prob.prior_mean)
         g_jac = G.T @ (ev.state.y - prob.data) / prob.noise_std ** 2 + g_prior
         np.testing.assert_allclose(g_adj, g_jac,
                                    atol=1e-8 * np.max(np.abs(g_adj)))

@@ -4,26 +4,32 @@ import scipy.linalg as sla
 
 from robinshape.mesh import build_slab_mesh, trace_of_top
 from robinshape.priors import (build_alpha_prior, build_beta_prior,
-                               trace_fem_matrices)
+                               joint_prior, trace_fem_matrices)
 
 
 def make_trace(nx=77):
     return trace_of_top(build_slab_mesh(1.0, 0.05, nx, 2))
 
 
+def variances(prior):
+    """Marginal variances of a prior with diagonal precision."""
+    return 1.0 / np.diag(prior.precision)
+
+
 def test_alpha_variance_spectrum():
     prior = build_alpha_prior(7, 0.01, -1.0)
-    assert prior.variances.size == 15
-    assert prior.variances[0] == 0.01
-    np.testing.assert_allclose(prior.variances[1:3], 0.005)
-    np.testing.assert_allclose(prior.variances[13:15], 0.01 / 8)
+    var = variances(prior)
+    assert var.size == 15
+    assert var[0] == 0.01
+    np.testing.assert_allclose(var[1:3], 0.005)
+    np.testing.assert_allclose(var[13:15], 0.01 / 8)
     # coefficients of one frequency share their variance
-    np.testing.assert_allclose(prior.variances[1::2], prior.variances[2::2])
+    np.testing.assert_allclose(var[1::2], var[2::2])
 
 
 def test_alpha_flat_spectrum_and_errors():
     prior = build_alpha_prior(1, 1.0, 0.0)
-    np.testing.assert_allclose(prior.variances, 1.0)
+    np.testing.assert_allclose(variances(prior), 1.0)
     with pytest.raises(ValueError):
         build_alpha_prior(7, -0.5, -1.0)
 
@@ -76,7 +82,7 @@ def test_prior_potential_values():
     beta_term = bp.potential(b)
     np.testing.assert_allclose(v2 - beta_term, 4 * (v1 - beta_term), rtol=1e-12)
     # dense quadratic-form oracle
-    oracle = (0.5 * a @ np.diag(1 / ap.variances) @ a
+    oracle = (0.5 * a @ np.diag(1 / variances(ap)) @ a
               + 0.5 * b @ bp.precision @ b)
     np.testing.assert_allclose(v1, oracle, rtol=1e-10)
     with pytest.raises(ValueError):
@@ -93,11 +99,34 @@ def test_sampling_mean_and_degenerate_draw():
                                bp.mean)
 
 
+def test_joint_prior_is_the_block_diagonal_join():
+    trace = make_trace(nx=10)
+    ap = build_alpha_prior(3, 0.01, -1.0)
+    bp = build_beta_prior(trace, 50.0, 10.0)
+    joint = joint_prior(ap, bp)
+    np.testing.assert_array_equal(joint.mean, np.zeros(7 + trace.n_nodes))
+    np.testing.assert_array_equal(joint.precision, sla.block_diag(ap.precision, bp.precision))
+    np.testing.assert_allclose(joint.chol_precision @ joint.chol_precision.T,
+                               joint.precision, rtol=1e-12)
+    rng = np.random.default_rng(2)
+    a = rng.standard_normal(7)
+    b = rng.standard_normal(trace.n_nodes)
+    m = np.concatenate([a, b])
+    np.testing.assert_allclose(joint.potential(m), ap.potential(a) + bp.potential(b),
+                               rtol=1e-12)
+    np.testing.assert_allclose(joint.sample(rng, xi=m),
+                               np.concatenate([ap.sample(rng, xi=a), bp.sample(rng, xi=b)]),
+                               rtol=1e-12)
+    np.testing.assert_allclose(joint.covariance,
+                               sla.block_diag(ap.covariance, bp.covariance), rtol=1e-12,
+                               atol=1e-15)
+
+
 def test_alpha_sampling_variance_monte_carlo():
     ap = build_alpha_prior(7, 0.01, -1.0)
     rng = np.random.default_rng(42)
     draws = np.array([ap.sample(rng) for _ in range(100_000)])
-    np.testing.assert_allclose(draws.var(axis=0, ddof=1), ap.variances, rtol=0.03)
+    np.testing.assert_allclose(draws.var(axis=0, ddof=1), variances(ap), rtol=0.03)
 
 
 def test_beta_sampling_covariance_monte_carlo():
