@@ -19,6 +19,7 @@ the data generator, the inverse problem and `solve_deformed` all go through it.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,6 +106,9 @@ class FemWorkspace:
         at, j, v = (np.concatenate([np.ravel(t[i]) for t in triplets]) for i in range(3))
         self.K = sp.csr_matrix((v[at >= 0], (at[at >= 0], j[at >= 0])),
                                shape=((self.band_u + 1) * self.free.size, 3 * T + 2 * E))
+        # the band diagonals K writes, ascending from the main one
+        written = np.unique(np.flatnonzero(np.diff(self.K.indptr)) // self.free.size)
+        self.offsets = self.band_u - written[::-1]
 
         # distinct x1 of the volume and top-edge quadrature points, with the
         # gathers vol_at (T, 3) and top_at (E, 2) back onto the points
@@ -113,6 +117,25 @@ class FemWorkspace:
         n_vol = self.quad_pts[..., 0].size
         self.vol_at = at[:n_vol].reshape(self.quad_pts.shape[:2])
         self.top_at = at[n_vol:].reshape(self.top_squad.shape)
+
+    @functools.cached_property
+    def KT(self) -> sp.csr_matrix:
+        """CSR copy of K's transpose, which maps band sensitivities back to
+        the coefficients (`band_pairs`); built on first use, so a workspace
+        that never differentiates holds none."""
+        return self.K.T.tocsr()
+
+    def band_pairs(self, U: np.ndarray, V: np.ndarray) -> np.ndarray:
+        """The flattened band p with p . band = sum_l V[:, l]^T A U[:, l] for
+        free-node columns U, V (N, k): the column-summed symmetric pair
+        products on the diagonals K writes.  Since band = K c, KT @ p is the
+        sensitivity of that sum to the coefficients c of `_factor`."""
+        p = np.zeros((self.band_u + 1, self.free.size))
+        ones = np.ones(U.shape[1])  # `@ ones` sums the columns faster than np.sum
+        p[self.band_u] = (U * V) @ ones
+        for d in self.offsets[1:]:
+            p[self.band_u - d, d:] = (U[:-d] * V[d:] + V[:-d] * U[d:]) @ ones
+        return p.ravel()
 
     def _sorted_edges(self, edges: np.ndarray) -> np.ndarray:
         # orient each edge so x1 increases, then order edges by x1

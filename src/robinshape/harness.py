@@ -6,6 +6,7 @@ against the profile's row of `TRUTH_PARAMS` when it is loaded."""
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import numbers
 import os
@@ -265,6 +266,13 @@ class SyntheticDataset:
                    fine_mesh=header["fine_mesh"])
 
 
+@functools.lru_cache(maxsize=4)
+def _fine_workspace(L: float, H: float, nx: int, ny: int) -> fem.FemWorkspace:
+    """The data mesh's workspace, built once per mesh and shared by every
+    case generated on it; nothing writes to it after construction."""
+    return fem.FemWorkspace(build_slab_mesh(L, H, nx, ny))
+
+
 def generate_data(config: ExperimentConfig) -> SyntheticDataset:
     """Solve the forward problem with the truth profiles on the fine mesh and
     add Gaussian noise scaled to the stated percentage of the data range."""
@@ -281,11 +289,10 @@ def generate_data(config: ExperimentConfig) -> SyntheticDataset:
 
     profile, beta_fn = truth_profiles(config.truth_profile, config.truth_params,
                                       L=config.L, rng=rng_truth)
-    mesh = build_slab_mesh(config.L, config.H, fine.nx, fine.ny)
-    trace = trace_of_top(mesh)
+    ws = _fine_workspace(config.L, config.H, fine.nx, fine.ny)
+    trace = ws.trace
     beta_true = np.asarray(beta_fn(trace.s), dtype=float)
 
-    ws = fem.FemWorkspace(mesh)
     system = fem.assemble(ws, profile.eval(ws.x1), beta_true)
     y0 = fem.forward(system, fem.all_loads(ws, config.n_loads),
                      fem.bottom_interpolator(ws, config.sensor_x1())).y

@@ -3,15 +3,27 @@
 The parameter vector stacks the Fourier block (length 2p+1) and the nodal
 log-admittance block (length q).  One assembly and one factorization per
 evaluation are shared by the forward and adjoint solves.  The gradient and
-the Jacobian come from one kernel that pulls per-element products of forward
-and adjoint solutions back through the derivative of the system matrix: the
-gradient sums each load's products with its residual adjoint over loads and
-pulls back once, the Jacobian pulls back each load's products with the
-n_sensors sensor adjoints (32 solves at the default size, where the direct
-sensitivity method needed n * n_loads = 744).  The shape reaches the kernel
-only as the profile (f, df) kept by the assembly: the pointwise derivatives
-of the tensor and the admittance factor in (f, df) are pulled back to the
-Fourier coefficients through the basis cached at the slab's abscissae.
+the Jacobian pull products of forward and adjoint solutions back through the
+derivative of the system matrix by two independent reductions:
+
+- the gradient is the discrete adjoint of the assembly: each load's solution
+  times its residual adjoint, summed over loads on the band of the system,
+  goes back to the assembly coefficients through the transpose of
+  `FemWorkspace.K` and from there to the parameters;
+- the Jacobian forms per-element products of each load's solution with the
+  n_sensors sensor adjoints (32 solves at the default size, where the direct
+  sensitivity method needed n * n_loads = 744) and pulls them back in
+  `_contract`.
+
+The gradient has one load-summed pair, the Jacobian 32 pairs per load.  On a
+2-core VM with one BLAS thread the band transpose took the desk gradient
+from 0.73-1.04 ms to 0.45-0.68 ms, but a desk Jacobian through it (256 band
+vectors) took 16 ms against 5-7 ms with element products.  So each keeps its
+own reduction, and the gradient/Jacobian agreement check (acceptance
+criterion 3) compares two independent ones.  The shape reaches both only as
+the profile (f, df) kept by the assembly: the pointwise derivatives of the
+tensor and the admittance factor in (f, df) are pulled back to the Fourier
+coefficients through the basis cached at the slab's abscissae.
 """
 from __future__ import annotations
 
@@ -137,14 +149,14 @@ class Problem:
         return grads, np.einsum("enk,gn->egk", X[self.ws.top_edges], _EDGE_PHI)
 
     def _contract(self, system: fem.AssembledSystem, blocks) -> np.ndarray:
-        """Rows w^T (dA/dm) u from per-element pair products, the one
-        sensitivity kernel behind the gradient and the Jacobian.
+        """Jacobian rows w^T (dA/dm) u from per-element pair products.
 
         blocks yields (vol, top) of K columns: vol[c, d] (T, K) holds
         grad(u)_c grad(w)_d per triangle, top (E, 2, K) holds u w at the
-        top-edge quadrature points, and a column may sum several pairs.
-        Returns the (K, n) rows of all blocks stacked; the profile and Robin
-        weights of system's assembly are differentiated once for all blocks."""
+        top-edge quadrature points.  Returns the (K, n) rows of all blocks
+        stacked; the profile and Robin weights of system's assembly are
+        differentiated once for all blocks, and D22 is built per call for
+        the blocks' GEMMs (the gradient reduces onto ws.x1 instead)."""
         f_vol, df_vol, df_top = system.profile
         # volume part, alpha only: grad(w) . (dS/dalpha) grad(u).  s22
         # depends on alpha through f and df: ds22/dalpha = a * basis + b * basis'
@@ -167,19 +179,35 @@ class Problem:
 
     def gradient(self, m: np.ndarray,
                  evaluation: PotentialEvaluation | None = None) -> np.ndarray:
-        """Full gradient of J: the kernel on the products of the forward
-        solutions and their residual adjoints, summed over loads before the
-        pull-back to the parameters, plus the prior."""
+        """Full gradient of J: sum_l v_l^T (dA/dm) u_l over the forward
+        solutions u_l and their residual adjoints v_l, plus the prior.
+
+        The discrete adjoint of `fem._factor`: the load-summed pair products
+        on the band, mapped to the coefficients c = [S11, S12, S22, wq] by the
+        transpose of the assembly operator, then pulled back to the
+        parameters.  The s22 and Robin sensitivities are first reduced onto
+        the distinct abscissae ws.x1, where the Fourier basis is cached."""
         ev = evaluation if evaluation is not None else self.potential(m)
         if not np.isfinite(ev.J):
             raise InvalidShapeError("cannot differentiate at an invalid shape")
+        system, ws = ev.state.system, self.ws
         r = (self.data - ev.state.y).reshape(self.n_loads, -1)  # (loads, sensors)
-        V = ev.state.system.solve(self.inv_noise_var * (self.BT @ r.T))
-        gu, tu = self._element_values(ev.state.solutions)
-        gv, tv = self._element_values(V)
-        vol = np.einsum("ctl,dtl->cdt", gu, gv)[..., None]  # summed over loads
-        top = np.einsum("egl,egl->eg", tu, tv)[..., None]
-        return (self._contract(ev.state.system, [(vol, top)])[0]
+        V = system.solve(self.inv_noise_var * (self.BT @ r.T))
+        z = ws.KT @ ws.band_pairs(ev.state.solutions[ws.free], V[ws.free])
+        T, nx = ws.areas.size, ws.x1.size
+        z22 = self.wg * z[2 * T:3 * T, None]
+        zq = system.robin * z[3 * T:].reshape(-1, 2)
+        f_vol, df_vol, df_top = system.profile
+        a, b = pushforward_alpha_entries_from(f_vol, df_vol, ws.quad_pts[..., 1])
+        slope = (np.bincount(ws.vol_at.ravel(), (z22 * b).ravel(), nx)
+                 + np.bincount(ws.top_at.ravel(), (zq * admittance_alpha_entries_from(
+                     df_top, self.mesh.H)).ravel(), nx))
+        g_alpha = (z[:T] @ self.D11c + z[T:2 * T] @ self.D12c
+                   + np.bincount(ws.vol_at.ravel(), (z22 * a).ravel(), nx) @ self.Vx
+                   + slope @ self.dVx)
+        g_beta = ((zq * admittance_factor_from(df_top, self.mesh.H)).ravel()
+                  @ self.hat_t.reshape(-1, self.q))
+        return (np.concatenate([g_alpha, g_beta])
                 + self.prior_precision @ (m - self.prior_mean))
 
     def potential_and_gradient(self, m: np.ndarray):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from robinshape import fem
 from robinshape.geometry import BoundaryShape, InvalidShapeError
@@ -122,6 +123,43 @@ def test_band_operator_matches_local_scatter(nx, ny, rng):
     band = ws.K @ np.concatenate([S11, S12, S22, wq.ravel()])
     assert np.max(np.abs(band - ref)) <= 1e-14 * np.max(np.abs(ref))
     assert np.array_equal(fem._factor(ws, S11, S12, S22, wq)[0].ravel(), band)
+
+
+@pytest.mark.parametrize("nx, ny", [(77, 7), (229, 10)])
+def test_band_transpose_matches_element_products(nx, ny, rng):
+    # the gradient's discrete adjoint: KT @ band_pairs(U, V) against the
+    # per-element products of the columns of U and V, summed over columns
+    mesh = build_slab_mesh(1.0, 0.05, nx, ny)
+    ws = fem.FemWorkspace(mesh)
+    assert sorted(ws.offsets) == [0, 1, ny + 1, ny + 2]
+    n, k = ws.free.size, 5
+    U, V = rng.standard_normal((2, n, k))
+    z = ws.KT @ ws.band_pairs(U, V)
+
+    Uf, Vf = np.zeros((2, mesh.n_nodes, k))
+    Uf[ws.free], Vf[ws.free] = U, V
+    grad = lambda X: np.einsum("tad,tak->tdk", ws.grads, X[mesh.triangles])
+    top = lambda X: np.einsum("ga,eak->egk", fem._EDGE_PHI, X[ws.top_edges])
+    gu, gv = grad(Uf), grad(Vf)
+    ref = np.concatenate([
+        np.sum(gu[:, 0] * gv[:, 0], axis=1),
+        np.sum(gu[:, 0] * gv[:, 1] + gu[:, 1] * gv[:, 0], axis=1),
+        np.sum(gu[:, 1] * gv[:, 1], axis=1),
+        np.sum(top(Uf) * top(Vf), axis=2).ravel()])
+    assert np.max(np.abs(z - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    # sum_l v_l^T A u_l == c . (KT @ p) on an assembled system
+    T, E = mesh.triangles.shape[0], ws.top_edges.shape[0]
+    S11, S22 = rng.uniform(0.5, 2.0, (2, T)) * ws.areas
+    S12 = rng.uniform(-0.4, 0.4, T) * ws.areas
+    wq = rng.uniform(0.0, 1.0, (E, 2))
+    band, _ = fem._factor(ws, S11, S12, S22, wq)
+    upper = sp.diags([band[ws.band_u - d, d:] for d in range(ws.band_u + 1)],
+                     range(ws.band_u + 1))
+    A = upper + sp.triu(upper, 1).T
+    vAu = np.sum(V * (A @ U))
+    c = np.concatenate([S11, S12, S22, wq.ravel()])
+    assert abs(c @ z - vAu) <= 1e-12 * np.sum(np.abs(V * (A @ U)))
 
 
 def test_indefinite_system_raises_solver_error():

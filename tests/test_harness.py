@@ -222,6 +222,31 @@ def test_dataset_regeneration_is_byte_identical(tmp_path):
             assert fa.read() == fb.read()
 
 
+def test_fine_workspace_is_built_once_per_mesh(tmp_path, monkeypatch):
+    # generate_data reuses the data mesh's workspace across cases, and the
+    # data from the cached workspace are bitwise those of a fresh build
+    built = []
+
+    class CountingWorkspace(fem.FemWorkspace):
+        def __init__(self, mesh):
+            built.append(mesh)
+            super().__init__(mesh)
+
+    monkeypatch.setattr(fem, "FemWorkspace", CountingWorkspace)
+    cfg = small_config(tmp_path, truth_profile="example2", seed=11)
+    harness._fine_workspace.cache_clear()
+    try:
+        fresh = generate_data(cfg)
+        generate_data(dataclasses.replace(cfg, seed=12, n_loads=2))
+        cached = generate_data(cfg)
+    finally:
+        harness._fine_workspace.cache_clear()
+    assert len(built) == 1
+    for name in ("y", "y_noiseless", "truth_f", "truth_beta", "truth_s"):
+        assert np.array_equal(getattr(fresh, name), getattr(cached, name))
+    assert fresh.delta_e == cached.delta_e
+
+
 def test_dataset_file_roundtrip(tmp_path):
     cfg = small_config(tmp_path)
     ds = generate_data(cfg)
