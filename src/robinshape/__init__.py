@@ -9,7 +9,7 @@ from .fem import (AssembledSystem, ForwardState, SolverError, assemble,
                   forward, neumann_load, solve_deformed)
 from .priors import (GaussianPrior, build_alpha_prior, build_beta_prior,
                      joint_prior)
-from .inverse import LinearGaussianProblem, Problem
+from .inverse import Problem
 from .optimize import (GaussNewtonOptions, GaussNewtonReport,
                        LaplaceApproximation, gauss_newton, laplace)
 from .mala import (ChainOutput, ChainState, AdaptState, MalaSettings, adapt,

@@ -8,6 +8,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import math
 import numbers
 import os
 import tempfile
@@ -17,7 +18,7 @@ import numpy as np
 from scipy import stats
 
 from . import fem, mala, optimize
-from .geometry import SampledProfile, fourier_basis
+from .geometry import InvalidShapeError, SampledProfile, fourier_basis
 from .inverse import Problem
 from .mala import MalaSettings
 from .mesh import build_slab_mesh, trace_of_top
@@ -64,6 +65,10 @@ class ExperimentConfig:
     mala: MalaSettings = field(default_factory=MalaSettings)
 
     def __post_init__(self):
+        for name in ("L", "H", "s_alpha", "sigma_alpha2", "delta_beta2", "corr_l",
+                     "noise_percent"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite")
         if not (self.L > 0 and self.H > 0):
             raise ConfigError("L and H must be positive")
         for name, least in (("n_loads", 1), ("n_sensors", 1), ("p", 0), ("seed", 0)):
@@ -293,7 +298,10 @@ def generate_data(config: ExperimentConfig) -> SyntheticDataset:
     trace = ws.trace
     beta_true = np.asarray(beta_fn(trace.s), dtype=float)
 
-    system = fem.assemble(ws, profile.eval(ws.x1), beta_true)
+    try:
+        system = fem.assemble(ws, profile.eval(ws.x1), beta_true)
+    except InvalidShapeError as exc:
+        raise ConfigError(f"truth profile {config.truth_profile!r}: {exc}") from exc
     y0 = fem.forward(system, fem.all_loads(ws, config.n_loads),
                      fem.bottom_interpolator(ws, config.sensor_x1())).y
 

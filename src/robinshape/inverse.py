@@ -10,15 +10,15 @@ derivative of the system matrix by two independent reductions:
   times its residual adjoint, summed over loads on the band of the system,
   goes back to the assembly coefficients through the transpose of
   `FemWorkspace.K` and from there to the parameters;
-- the Jacobian forms per-element products of each load's solution with the
+- the Jacobian folds each load's solution into the derivative of the
+  assembly coefficients on the elements and contracts that with the
   n_sensors sensor adjoints (32 solves at the default size, where the direct
-  sensitivity method needed n * n_loads = 744) and pulls them back in
-  `_contract`.
+  sensitivity method needed n * n_loads = 744) in three GEMMs.
 
 The gradient has one load-summed pair, the Jacobian 32 pairs per load.  On a
 2-core VM with one BLAS thread the band transpose took the desk gradient
 from 0.73-1.04 ms to 0.45-0.68 ms, but a desk Jacobian through it (256 band
-vectors) took 16 ms against 5-7 ms with element products.  So each keeps its
+vectors) took 16 ms against 5-7 ms on the elements.  So each keeps its
 own reduction, and the gradient/Jacobian agreement check (acceptance
 criterion 3) compares two independent ones.  The shape reaches both only as
 the profile (f, df) kept by the assembly: the pointwise derivatives of the
@@ -30,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 
 from . import fem
@@ -148,35 +147,6 @@ class Problem:
         grads = (self.grad_op @ X).reshape(2, -1, X.shape[1])
         return grads, np.einsum("enk,gn->egk", X[self.ws.top_edges], _EDGE_PHI)
 
-    def _contract(self, system: fem.AssembledSystem, blocks) -> np.ndarray:
-        """Jacobian rows w^T (dA/dm) u from per-element pair products.
-
-        blocks yields (vol, top) of K columns: vol[c, d] (T, K) holds
-        grad(u)_c grad(w)_d per triangle, top (E, 2, K) holds u w at the
-        top-edge quadrature points.  Returns the (K, n) rows of all blocks
-        stacked; the profile and Robin weights of system's assembly are
-        differentiated once for all blocks, and D22 is built per call for
-        the blocks' GEMMs (the gradient reduces onto ws.x1 instead)."""
-        f_vol, df_vol, df_top = system.profile
-        # volume part, alpha only: grad(w) . (dS/dalpha) grad(u).  s22
-        # depends on alpha through f and df: ds22/dalpha = a * basis + b * basis'
-        a, b = pushforward_alpha_entries_from(f_vol, df_vol, self.ws.quad_pts[..., 1])
-        D22 = (np.einsum("tg,tgi->ti", self.wg * a, self.Vq)
-               + np.einsum("tg,tgi->ti", self.wg * b, self.dVq))
-        # boundary part: exp(beta) times the admittance factor, differentiated
-        # in alpha through the factor and in beta through the trace hat functions
-        D_top = np.concatenate([
-            (system.robin * admittance_alpha_entries_from(df_top, self.mesh.H))[..., None] * self.dVt,
-            (system.robin * admittance_factor_from(df_top, self.mesh.H))[..., None] * self.hat_t],
-            axis=2).reshape(-1, self.n)
-        rows = []
-        for vol, top in blocks:
-            g = top.reshape(-1, top.shape[2]).T @ D_top
-            g[:, :self.n_alpha] += (vol[0, 0].T @ self.D11c + (vol[0, 1] + vol[1, 0]).T @ self.D12c
-                                   + vol[1, 1].T @ D22)
-            rows.append(g)
-        return np.concatenate(rows)
-
     def gradient(self, m: np.ndarray,
                  evaluation: PotentialEvaluation | None = None) -> np.ndarray:
         """Full gradient of J: sum_l v_l^T (dA/dm) u_l over the forward
@@ -222,19 +192,38 @@ class Problem:
         """Dense (m_obs, n) Jacobian of the observation map.
 
         Row (k, s) is -w_s^T (dA/dm) u_k with w_s = A^-1 B^T e_s the adjoint of
-        sensor s: n_sensors solves with the forward factorization, then the
-        kernel on each load's products with every sensor adjoint, one load at
-        a time, which keeps the temporaries at (T, n_sensors).
+        sensor s: n_sensors solves with the forward factorization.  Each load
+        is folded into the coefficient derivatives, (dS/dalpha) grad(u) per
+        triangle (T, K, n_alpha) and u dq/dm per top-edge point (2E, K, n);
+        three GEMMs then contract them with every sensor adjoint.
         """
         ev = evaluation if evaluation is not None else self.potential(m)
         if not np.isfinite(ev.J):
             raise InvalidShapeError("cannot linearize at an invalid shape")
-        W = ev.state.system.solve(self.BT.toarray())  # (N, sensors)
-        gu, tu = self._element_values(ev.state.solutions)
-        gw, tw = self._element_values(W)
-        return -self._contract(ev.state.system,
-                               ((gu[:, None, :, k, None] * gw[None], tu[..., k, None] * tw)
-                                for k in range(self.n_loads)))
+        system = ev.state.system
+        W = system.solve(self.BT.toarray())  # (N, sensors)
+        (ux, uy), tu = self._element_values(ev.state.solutions)
+        (wx, wy), tw = self._element_values(W)
+        K, S = tu.shape[2], tw.shape[2]
+        f_vol, df_vol, df_top = system.profile
+        # volume part, alpha only: grad(w) . (dS/dalpha) grad(u).  s22
+        # depends on alpha through f and df: ds22/dalpha = a * basis + b * basis'
+        a, b = pushforward_alpha_entries_from(f_vol, df_vol, self.ws.quad_pts[..., 1])
+        D22 = (np.einsum("tg,tgi->ti", self.wg * a, self.Vq)
+               + np.einsum("tg,tgi->ti", self.wg * b, self.dVq))
+        # boundary part: exp(beta) times the admittance factor, differentiated
+        # in alpha through the factor and in beta through the trace hat functions
+        D_top = np.concatenate([
+            (system.robin * admittance_alpha_entries_from(df_top, self.mesh.H))[..., None] * self.dVt,
+            (system.robin * admittance_factor_from(df_top, self.mesh.H))[..., None] * self.hat_t],
+            axis=2).reshape(-1, self.n)
+        ex = ux[..., None] * self.D11c[:, None] + uy[..., None] * self.D12c[:, None]
+        ey = ux[..., None] * self.D12c[:, None] + uy[..., None] * D22[:, None]
+        G = (tw.reshape(-1, S).T @ (tu.reshape(-1, K, 1) * D_top[:, None]).reshape(-1, K * self.n)
+             ).reshape(S, K, self.n)
+        vol = wx.T @ ex.reshape(len(ex), -1) + wy.T @ ey.reshape(len(ey), -1)
+        G[..., :self.n_alpha] += vol.reshape(S, K, self.n_alpha)
+        return -G.transpose(1, 0, 2).reshape(K * S, self.n)
 
     def linearize(self, m: np.ndarray):
         """(J, predicted observations, Jacobian) in one evaluation."""
@@ -243,34 +232,3 @@ class Problem:
             return np.inf, None, None
         return ev.J, ev.state.y, self.jacobian(m, evaluation=ev)
 
-
-@dataclass
-class LinearGaussianProblem:
-    """Linear surrogate y = G m + e with Gaussian prior; same duck-typed
-    surface as Problem where the optimizer needs it."""
-
-    G: np.ndarray
-    data: np.ndarray
-    noise_std: float
-    prior_mean: np.ndarray
-    prior_precision: np.ndarray
-
-    def __post_init__(self):
-        self.n = self.prior_mean.size
-        self.inv_noise_var = 1.0 / self.noise_std ** 2
-
-    def potential_value(self, m: np.ndarray) -> float:
-        r = self.data - self.G @ m
-        d = m - self.prior_mean
-        return 0.5 * self.inv_noise_var * float(r @ r) + 0.5 * float(d @ self.prior_precision @ d)
-
-    def linearize(self, m: np.ndarray):
-        return self.potential_value(m), self.G @ m, self.G
-
-    def exact_posterior(self):
-        """Analytic Gaussian conditioning (mean, covariance)."""
-        H = self.inv_noise_var * self.G.T @ self.G + self.prior_precision
-        cov = sla.inv(H)
-        mean = cov @ (self.inv_noise_var * self.G.T @ self.data
-                      + self.prior_precision @ self.prior_mean)
-        return mean, cov

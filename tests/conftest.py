@@ -1,6 +1,9 @@
 """Shared builders for the test suite."""
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from robinshape import build_alpha_prior, build_beta_prior, build_slab_mesh, joint_prior
 from robinshape import fem
@@ -44,6 +47,38 @@ def self_consistent_problem(**kwargs):
                    noise_std=prob.noise_std, sensor_x1=prob.sensor_x1,
                    n_loads=prob.n_loads)
     return prob, m_true
+
+
+@dataclass
+class LinearGaussianProblem:
+    """Linear surrogate y = G m + e with Gaussian prior; same duck-typed
+    surface as Problem where the optimizer needs it."""
+
+    G: np.ndarray
+    data: np.ndarray
+    noise_std: float
+    prior_mean: np.ndarray
+    prior_precision: np.ndarray
+
+    def __post_init__(self):
+        self.n = self.prior_mean.size
+        self.inv_noise_var = 1.0 / self.noise_std ** 2
+
+    def potential_value(self, m: np.ndarray) -> float:
+        r = self.data - self.G @ m
+        d = m - self.prior_mean
+        return 0.5 * self.inv_noise_var * float(r @ r) + 0.5 * float(d @ self.prior_precision @ d)
+
+    def linearize(self, m: np.ndarray):
+        return self.potential_value(m), self.G @ m, self.G
+
+    def exact_posterior(self):
+        """Analytic Gaussian conditioning (mean, covariance)."""
+        H = self.inv_noise_var * self.G.T @ self.G + self.prior_precision
+        cov = sla.inv(H)
+        mean = cov @ (self.inv_noise_var * self.G.T @ self.data
+                      + self.prior_precision @ self.prior_mean)
+        return mean, cov
 
 
 @pytest.fixture

@@ -73,7 +73,11 @@ def test_out_of_range_settings_rejected_before_any_work(tmp_path):
                 {"inversion_mesh": {"nx": 77.5, "ny": 7}},
                 {"n_sensors": 4.5}, {"n_loads": 8.5}, {"p": 7.5}, {"seed": 2.0},
                 {"n_loads": True}, {"p": -1}, {"seed": -1}, {"sigma_alpha2": -1},
-                {"delta_beta2": 0.0}, {"corr_l": -10.0}, {"noise_percent": -1.0}):
+                {"delta_beta2": 0.0}, {"corr_l": -10.0}, {"noise_percent": -1.0},
+                # non-finite numbers would load and fail late, or write inf data
+                *({name: value} for name in ("L", "H", "s_alpha", "sigma_alpha2",
+                                              "delta_beta2", "corr_l", "noise_percent")
+                  for value in (float("inf"), float("nan")))):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(bad)
         path = str(tmp_path / "bad.json")
@@ -449,6 +453,18 @@ def test_cli_map_rejects_zero_noise_level(tmp_path, capsys):
             os.path.join(cfg.output_dir, "dataset.json")).delta_e == 0.0
         assert cli.main(["map", "--config", path]) == 1
         assert "noise level must be positive" in capsys.readouterr().err
+
+
+def test_cli_non_positive_truth_height_exits_1(tmp_path, capsys):
+    # a truth profile that dips to or below the bottom is a config error
+    # naming the profile, not a traceback out of the assembly
+    custom = {"f_x": [0.0, 1.0], "f_values": [1.0, -0.5],
+              "beta_x": [0.0, 1.0], "beta_values": [0.0, 0.0]}
+    for profile, params in (("example1", {"depth": 1.5}), ("custom", custom)):
+        path, cfg = write_config(tmp_path, truth_profile=profile, truth_params=params)
+        assert cli.main(["generate-data", "--config", path]) == 1
+        assert f"truth profile {profile!r}" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(cfg.output_dir, "dataset.json"))
 
 
 def test_cli_invalid_config_exit_code(tmp_path):

@@ -109,15 +109,17 @@ def desk_problem():
 
 
 def test_adjoint_matches_jacobian_gradient_desk(rng):
-    # the gradient sums over loads before its pull-back, the Jacobian pulls
-    # back one load at a time: the two reductions must agree at full size
+    # the gradient sums over loads before its pull-back, the Jacobian folds
+    # every load into the coefficient derivatives: the two reductions must
+    # agree at full size
     check_adjoint_matches_jacobian(desk_problem(), rng, 2)
 
 
 def test_desk_jacobian_memory_is_bounded(rng):
-    # pulling back one load at a time keeps the kernel's temporaries at
-    # (T, n_sensors); all 8 x 32 pairs at once peaked at 13.1-13.8 MB of
-    # live NumPy memory, one load at a time measured 3.7 MB
+    # folding each load into the coefficient derivatives keeps the
+    # temporaries at (T, n_loads, n_alpha) and (2E, n_loads, n), never a
+    # product per load and sensor pair: all 8 x 32 pair products at once
+    # peaked at 13.1-13.8 MB of live NumPy memory, the fold measured 4.4 MB
     prob = desk_problem()
     m = random_valid_parameters(prob, rng)
     ev = prob.potential(m)
@@ -131,8 +133,11 @@ def test_desk_jacobian_memory_is_bounded(rng):
     assert peak < 6e6
 
 
-def test_jacobian_columns_fd(rng):
-    prob = small_problem()
+@pytest.mark.parametrize("n_loads, n_sensors", [(4, 16), (1, 1), (3, 5)])
+def test_jacobian_columns_fd(rng, n_loads, n_sensors):
+    # a single pair and counts that do not divide each other catch a
+    # swapped load/sensor layout of the rows
+    prob = small_problem(n_loads=n_loads, n_sensors=n_sensors)
     m = random_valid_parameters(prob, rng)
     _, pred, G = prob.linearize(m)
     h = 1e-6

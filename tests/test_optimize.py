@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from robinshape.inverse import LinearGaussianProblem
 from robinshape.optimize import (GaussNewtonOptions, _gn_system, gauss_newton,
                                  laplace)
 
-from conftest import self_consistent_problem, small_problem
+from conftest import LinearGaussianProblem, self_consistent_problem, small_problem
 
 
 def linear_gaussian(rng, n=12, m=30):
