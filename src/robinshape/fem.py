@@ -16,6 +16,8 @@ mesh, chord lengths on the slanted top edge) share `_factor`: one product with
 the per-mesh operator `FemWorkspace.K`, then one banded Cholesky factorization.
 `forward` solves every load and reads the bottom-edge sensors out load-major;
 the data generator, the inverse problem and `solve_deformed` all go through it.
+`workspace` builds the workspace of a slab mesh once and shares it between
+the data generator and every inverse problem on that mesh.
 """
 from __future__ import annotations
 
@@ -28,7 +30,7 @@ import scipy.sparse as sp
 
 from .geometry import (InvalidShapeError, admittance_factor_from,
                        pushforward_entries_from)
-from .mesh import SlabMesh, trace_of_top, triangle_areas
+from .mesh import SlabMesh, build_slab_mesh, trace_of_top, triangle_areas
 
 
 class SolverError(Exception):
@@ -125,6 +127,23 @@ class FemWorkspace:
         that never differentiates holds none."""
         return self.K.T.tocsr()
 
+    @functools.cached_property
+    def grad_op(self) -> sp.csr_matrix:
+        """P1 gradient operator (2T, N): row c * T + t of grad_op @ u is
+        component c of grad(u) on triangle t."""
+        T = self.areas.size
+        rows = np.arange(2 * T).reshape(2, T, 1).repeat(3, axis=2)
+        cols = np.broadcast_to(self.mesh.triangles, rows.shape)
+        return sp.csr_matrix((self.grads.transpose(2, 0, 1).ravel(),
+                              (rows.ravel(), cols.ravel())),
+                             shape=(2 * T, self.mesh.n_nodes))
+
+    @functools.cached_property
+    def hat_t(self) -> np.ndarray:
+        """Trace hat functions at the top-edge quadrature points (E, 2, q)."""
+        on_node = self.top_edges[..., None] == self.trace.parent_nodes
+        return np.einsum("ga,eaj->egj", _EDGE_PHI, on_node.astype(float))
+
     def band_pairs(self, U: np.ndarray, V: np.ndarray) -> np.ndarray:
         """The flattened band p with p . band = sum_l V[:, l]^T A U[:, l] for
         free-node columns U, V (N, k): the column-summed symmetric pair
@@ -151,6 +170,15 @@ class FemWorkspace:
         a, b = x1[edges[:, 0]], x1[edges[:, 1]]
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
         return mid[:, None] + half[:, None] * _EDGE_XI[None, :], b - a
+
+
+@functools.lru_cache(maxsize=4)
+def workspace(L: float, H: float, nx: int, ny: int) -> FemWorkspace:
+    """The workspace of the nx x ny slab mesh of size L x H, built once per
+    mesh and shared by every caller on it: the data generator on the fine
+    mesh and every inverse problem on the inversion mesh.  Nothing writes to
+    a workspace after construction except its cached operators."""
+    return FemWorkspace(build_slab_mesh(L, H, nx, ny))
 
 
 @dataclass

@@ -6,7 +6,6 @@ against the profile's row of `TRUTH_PARAMS` when it is loaded."""
 from __future__ import annotations
 
 import dataclasses
-import functools
 import json
 import math
 import numbers
@@ -21,7 +20,6 @@ from . import fem, mala, optimize
 from .geometry import InvalidShapeError, SampledProfile, fourier_basis
 from .inverse import Problem
 from .mala import MalaSettings
-from .mesh import build_slab_mesh, trace_of_top
 from .optimize import GaussNewtonOptions
 from .priors import build_alpha_prior, build_beta_prior, joint_prior
 
@@ -172,8 +170,8 @@ TRUTH_PARAMS = {
 
 def truth_parameters(name: str, params: dict | None = None) -> dict:
     """The parameters of truth profile name: its TRUTH_PARAMS row updated by
-    params.  Raises ConfigError for an unknown profile, an unknown key or a
-    missing required one."""
+    params.  Raises ConfigError for an unknown profile, an unknown key, a
+    missing required one, or a value that is not finite numbers."""
     if name not in TRUTH_PARAMS:
         raise ConfigError(f"unknown truth profile {name!r}")
     unknown = set(params or {}) - set(TRUTH_PARAMS[name])
@@ -183,6 +181,13 @@ def truth_parameters(name: str, params: dict | None = None) -> dict:
     missing = sorted(k for k, v in merged.items() if v is None)
     if missing:
         raise ConfigError(f"{name} truth needs the parameters {missing}")
+    for key, value in merged.items():
+        try:
+            finite = np.all(np.isfinite(np.asarray(value, dtype=float)))
+        except (TypeError, ValueError):
+            finite = False
+        if not finite:
+            raise ConfigError(f"truth profile {name!r}: parameter {key!r} must be finite numbers")
     return merged
 
 
@@ -271,13 +276,6 @@ class SyntheticDataset:
                    fine_mesh=header["fine_mesh"])
 
 
-@functools.lru_cache(maxsize=4)
-def _fine_workspace(L: float, H: float, nx: int, ny: int) -> fem.FemWorkspace:
-    """The data mesh's workspace, built once per mesh and shared by every
-    case generated on it; nothing writes to it after construction."""
-    return fem.FemWorkspace(build_slab_mesh(L, H, nx, ny))
-
-
 def generate_data(config: ExperimentConfig) -> SyntheticDataset:
     """Solve the forward problem with the truth profiles on the fine mesh and
     add Gaussian noise scaled to the stated percentage of the data range."""
@@ -294,16 +292,16 @@ def generate_data(config: ExperimentConfig) -> SyntheticDataset:
 
     profile, beta_fn = truth_profiles(config.truth_profile, config.truth_params,
                                       L=config.L, rng=rng_truth)
-    ws = _fine_workspace(config.L, config.H, fine.nx, fine.ny)
+    ws = fem.workspace(config.L, config.H, fine.nx, fine.ny)
     trace = ws.trace
     beta_true = np.asarray(beta_fn(trace.s), dtype=float)
 
     try:
         system = fem.assemble(ws, profile.eval(ws.x1), beta_true)
-    except InvalidShapeError as exc:
+        y0 = fem.forward(system, fem.all_loads(ws, config.n_loads),
+                         fem.bottom_interpolator(ws, config.sensor_x1())).y
+    except (InvalidShapeError, fem.SolverError) as exc:
         raise ConfigError(f"truth profile {config.truth_profile!r}: {exc}") from exc
-    y0 = fem.forward(system, fem.all_loads(ws, config.n_loads),
-                     fem.bottom_interpolator(ws, config.sensor_x1())).y
 
     delta_e = float(y0.max() - y0.min()) * config.noise_percent / 100.0
     y = y0 + delta_e * rng_noise.standard_normal(y0.size)
@@ -319,12 +317,10 @@ def generate_data(config: ExperimentConfig) -> SyntheticDataset:
 # -- inference runs ----------------------------------------------------------
 
 def build_problem(config: ExperimentConfig, dataset: SyntheticDataset) -> Problem:
-    mesh = build_slab_mesh(config.L, config.H, config.inversion_mesh.nx,
-                           config.inversion_mesh.ny)
-    trace = trace_of_top(mesh)
+    ws = fem.workspace(config.L, config.H, config.inversion_mesh.nx, config.inversion_mesh.ny)
     prior = joint_prior(build_alpha_prior(config.p, config.sigma_alpha2, config.s_alpha),
-                        build_beta_prior(trace, config.delta_beta2, config.corr_l))
-    return Problem(mesh=mesh, p=config.p, prior=prior, data=dataset.y,
+                        build_beta_prior(ws.trace, config.delta_beta2, config.corr_l))
+    return Problem(ws=ws, p=config.p, prior=prior, data=dataset.y,
                    noise_std=dataset.delta_e, sensor_x1=dataset.sensor_x1,
                    n_loads=dataset.n_loads)
 

@@ -11,9 +11,11 @@ derivative of the system matrix by two independent reductions:
   goes back to the assembly coefficients through the transpose of
   `FemWorkspace.K` and from there to the parameters;
 - the Jacobian folds each load's solution into the derivative of the
-  assembly coefficients on the elements and contracts that with the
-  n_sensors sensor adjoints (32 solves at the default size, where the direct
-  sensitivity method needed n * n_loads = 744) in three GEMMs.
+  assembly coefficients on the elements, as (n_alpha, 2, T) with the
+  triangle axis innermost on the volume and (2E, n) on the top edge, and
+  contracts the folds with the n_sensors sensor adjoints (32 solves at the
+  default size, where the direct sensitivity method needed n * n_loads =
+  744) in two GEMMs per load.
 
 The gradient has one load-summed pair, the Jacobian 32 pairs per load.  On a
 2-core VM with one BLAS thread the band transpose took the desk gradient
@@ -24,19 +26,22 @@ criterion 3) compares two independent ones.  The shape reaches both only as
 the profile (f, df) kept by the assembly: the pointwise derivatives of the
 tensor and the admittance factor in (f, df) are pulled back to the Fourier
 coefficients through the basis cached at the slab's abscissae.
+
+`Problem` works on a shared per-mesh `fem.FemWorkspace` and keeps its last
+evaluation of the potential, keyed by a copy of the parameter vector: the
+Gauss-Newton line search evaluates the point it accepts, and linearising
+there reuses that assembly, factorization and forward solve.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import fem
 from .geometry import (InvalidShapeError,
                        admittance_alpha_entries_from, admittance_factor_from,
                        fourier_basis, pushforward_alpha_entries_from)
-from .mesh import SlabMesh
 from .priors import GaussianPrior
 from .fem import _EDGE_PHI
 
@@ -56,11 +61,11 @@ class Problem:
     J(m) = 0.5 |y - G(m)|^2 / delta_e^2 + prior potential.
     """
 
-    def __init__(self, mesh: SlabMesh, p: int, prior: GaussianPrior,
+    def __init__(self, ws: fem.FemWorkspace, p: int, prior: GaussianPrior,
                  data: np.ndarray, noise_std: float, sensor_x1: np.ndarray,
                  n_loads: int):
-        self.ws = fem.FemWorkspace(mesh)
-        self.mesh = mesh
+        self.ws = ws
+        self.mesh = ws.mesh
         self.trace = self.ws.trace
         self.p = p
         self.n_alpha = 2 * p + 1
@@ -87,12 +92,9 @@ class Problem:
         # Fourier basis cached at the distinct quadrature abscissae, so each
         # evaluation of f and df reduces to a matrix-vector product; Vq, dVq
         # and dVt are its gathers onto the volume and top-edge points
-        self.Vx, self.dVx = fourier_basis(p, mesh.L, self.ws.x1)
+        self.Vx, self.dVx = fourier_basis(p, self.mesh.L, self.ws.x1)
         self.Vq, self.dVq = self.Vx[self.ws.vol_at], self.dVx[self.ws.vol_at]
         self.dVt = self.dVx[self.ws.top_at]
-        # trace hat functions at the top-edge quadrature points (E, 2, q)
-        on_node = self.ws.top_edges[..., None] == self.trace.parent_nodes
-        self.hat_t = np.einsum("ga,eaj->egj", _EDGE_PHI, on_node.astype(float))
         # shape-independent pieces of the volume alpha-derivative sums:
         # the s11 derivative is the basis itself and the s12 derivative is
         # -x2 * basis', so their quadrature-weighted sums are constant
@@ -100,14 +102,9 @@ class Problem:
         self.wg = np.broadcast_to(self.ws.areas[:, None] / 3.0, x2q.shape)
         self.D11c = np.einsum("tg,tgi->ti", self.wg, self.Vq)
         self.D12c = -np.einsum("tg,tgi->ti", self.wg * x2q, self.dVq)
-        # P1 gradient operator: row c * T + t of grad_op @ u is component c
-        # of grad(u) on triangle t
-        T = mesh.triangles.shape[0]
-        rows = np.arange(2 * T).reshape(2, T, 1).repeat(3, axis=2)
-        cols = np.broadcast_to(mesh.triangles, rows.shape)
-        self.grad_op = sp.csr_matrix((self.ws.grads.transpose(2, 0, 1).ravel(),
-                                      (rows.ravel(), cols.ravel())),
-                                     shape=(2 * T, mesh.n_nodes))
+        # the same, laid out (n_alpha, T) for the Jacobian's fold
+        self.D11t, self.D12t = (np.ascontiguousarray(D.T) for D in (self.D11c, self.D12c))
+        self._kept = None  # (copy of m, its PotentialEvaluation)
 
     # -- parameter layout ---------------------------------------------------
 
@@ -127,15 +124,24 @@ class Problem:
         return fem.forward(system, self.loads, self.B)
 
     def potential(self, m: np.ndarray) -> PotentialEvaluation:
+        """Evaluate J at m.  The last evaluation is kept, keyed by a copy of
+        m, and returned again for an equal m: Gauss-Newton linearises at the
+        point its line search has just evaluated and accepted."""
+        if self._kept is not None and np.array_equal(m, self._kept[0]):
+            return self._kept[1]
+        m = np.array(m, dtype=float)
         try:
             state = self.forward(m)
         except (InvalidShapeError, fem.SolverError):
-            return PotentialEvaluation(J=np.inf, misfit=np.inf, prior=np.nan)
-        r = self.data - state.y
-        misfit = 0.5 * self.inv_noise_var * float(r @ r)
-        prior = self.prior.potential(m)
-        return PotentialEvaluation(J=misfit + prior, misfit=misfit, prior=prior,
-                                   state=state)
+            ev = PotentialEvaluation(J=np.inf, misfit=np.inf, prior=np.nan)
+        else:
+            r = self.data - state.y
+            misfit = 0.5 * self.inv_noise_var * float(r @ r)
+            prior = self.prior.potential(m)
+            ev = PotentialEvaluation(J=misfit + prior, misfit=misfit, prior=prior,
+                                     state=state)
+        self._kept = (m, ev)
+        return ev
 
     def potential_value(self, m: np.ndarray) -> float:
         return self.potential(m).J
@@ -143,9 +149,10 @@ class Problem:
     # -- sensitivities ------------------------------------------------------
 
     def _element_values(self, X: np.ndarray):
-        """Triangle gradients (2, T, k) and top-edge values (E, 2, k) of X."""
-        grads = (self.grad_op @ X).reshape(2, -1, X.shape[1])
-        return grads, np.einsum("enk,gn->egk", X[self.ws.top_edges], _EDGE_PHI)
+        """Stacked triangle gradients (2T, k), x1 then x2 component, and
+        top-edge point values (2E, k) of the nodal columns X (N, k)."""
+        return (self.ws.grad_op @ X,
+                np.einsum("enk,gn->egk", X[self.ws.top_edges], _EDGE_PHI).reshape(-1, X.shape[1]))
 
     def gradient(self, m: np.ndarray,
                  evaluation: PotentialEvaluation | None = None) -> np.ndarray:
@@ -176,7 +183,7 @@ class Problem:
                    + np.bincount(ws.vol_at.ravel(), (z22 * a).ravel(), nx) @ self.Vx
                    + slope @ self.dVx)
         g_beta = ((zq * admittance_factor_from(df_top, self.mesh.H)).ravel()
-                  @ self.hat_t.reshape(-1, self.q))
+                  @ ws.hat_t.reshape(-1, self.q))
         return (np.concatenate([g_alpha, g_beta])
                 + self.prior_precision @ (m - self.prior_mean))
 
@@ -192,38 +199,46 @@ class Problem:
         """Dense (m_obs, n) Jacobian of the observation map.
 
         Row (k, s) is -w_s^T (dA/dm) u_k with w_s = A^-1 B^T e_s the adjoint of
-        sensor s: n_sensors solves with the forward factorization.  Each load
-        is folded into the coefficient derivatives, (dS/dalpha) grad(u) per
-        triangle (T, K, n_alpha) and u dq/dm per top-edge point (2E, K, n);
-        three GEMMs then contract them with every sensor adjoint.
+        sensor s: n_sensors solves with the forward factorization.  Load k
+        is folded into the coefficient derivatives, (dS/dalpha) grad(u_k)
+        per triangle as (n_alpha, 2, T) with the triangle axis innermost and
+        u_k dq/dm per top-edge point as (2E, n), and two GEMMs contract the
+        folds with the stacked gradients (2T, n_sensors) and the top-edge
+        values (2E, n_sensors) of every sensor adjoint, giving the rows of
+        load k.  Folding one load at a time keeps every temporary at one
+        load's share, so the transient memory stays small and is reused.
         """
         ev = evaluation if evaluation is not None else self.potential(m)
         if not np.isfinite(ev.J):
             raise InvalidShapeError("cannot linearize at an invalid shape")
         system = ev.state.system
         W = system.solve(self.BT.toarray())  # (N, sensors)
-        (ux, uy), tu = self._element_values(ev.state.solutions)
-        (wx, wy), tw = self._element_values(W)
-        K, S = tu.shape[2], tw.shape[2]
+        gu, tu = self._element_values(ev.state.solutions)
+        gw, tw = self._element_values(W)
+        K, S, T, na = gu.shape[1], gw.shape[1], self.ws.areas.size, self.n_alpha
         f_vol, df_vol, df_top = system.profile
         # volume part, alpha only: grad(w) . (dS/dalpha) grad(u).  s22
         # depends on alpha through f and df: ds22/dalpha = a * basis + b * basis'
         a, b = pushforward_alpha_entries_from(f_vol, df_vol, self.ws.quad_pts[..., 1])
-        D22 = (np.einsum("tg,tgi->ti", self.wg * a, self.Vq)
-               + np.einsum("tg,tgi->ti", self.wg * b, self.dVq))
+        D22 = np.einsum("tg,tgi->it", self.wg * a, self.Vq, order="C")
+        D22 += np.einsum("tg,tgi->it", self.wg * b, self.dVq, order="C")
         # boundary part: exp(beta) times the admittance factor, differentiated
         # in alpha through the factor and in beta through the trace hat functions
         D_top = np.concatenate([
             (system.robin * admittance_alpha_entries_from(df_top, self.mesh.H))[..., None] * self.dVt,
-            (system.robin * admittance_factor_from(df_top, self.mesh.H))[..., None] * self.hat_t],
+            (system.robin * admittance_factor_from(df_top, self.mesh.H))[..., None] * self.ws.hat_t],
             axis=2).reshape(-1, self.n)
-        ex = ux[..., None] * self.D11c[:, None] + uy[..., None] * self.D12c[:, None]
-        ey = ux[..., None] * self.D12c[:, None] + uy[..., None] * D22[:, None]
-        G = (tw.reshape(-1, S).T @ (tu.reshape(-1, K, 1) * D_top[:, None]).reshape(-1, K * self.n)
-             ).reshape(S, K, self.n)
-        vol = wx.T @ ex.reshape(len(ex), -1) + wy.T @ ey.reshape(len(ey), -1)
-        G[..., :self.n_alpha] += vol.reshape(S, K, self.n_alpha)
-        return -G.transpose(1, 0, 2).reshape(K * S, self.n)
+        # one load at a time, so that every temporary is one load's share
+        # and the fold buffer is reused: fold[i, c] = (dS/dalpha_i) grad(u_k),
+        # component c, with the triangle axis innermost
+        G = np.empty((K, S, self.n))
+        fold = np.empty((na, 2, T))
+        for k, (ux, uy) in enumerate(np.ascontiguousarray(gu.T).reshape(K, 2, 1, T)):
+            fold[:, 0] = ux * self.D11t + uy * self.D12t
+            fold[:, 1] = ux * self.D12t + uy * D22
+            G[k] = tw.T @ (tu[:, k, None] * D_top)
+            G[k, :, :na] += (fold.reshape(na, 2 * T) @ gw).T
+        return -G.reshape(K * S, self.n)
 
     def linearize(self, m: np.ndarray):
         """(J, predicted observations, Jacobian) in one evaluation."""

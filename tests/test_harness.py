@@ -54,10 +54,15 @@ def test_config_rejects_unknown_keys():
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict({"n_sensors": 0})
     # truth profiles: an unknown name, a misspelt or foreign key, a missing
-    # required key
+    # required key, a value that is not finite numbers
+    custom = {"f_x": [0.0, 1.0], "f_values": [1.0, 1.0],
+              "beta_x": [0.0, 1.0], "beta_values": [0.0, 0.0]}
     for d in ({"truth_profile": "example9"}, {"truth_params": {"dpeth": 0.4}},
               {"truth_profile": "example3", "truth_params": {"depth": 0.4}},
-              {"truth_profile": "custom", "truth_params": {"f_x": [0.0, 1.0]}}):
+              {"truth_profile": "custom", "truth_params": {"f_x": [0.0, 1.0]}},
+              {"truth_params": {"depth": float("nan")}},
+              *({"truth_profile": "custom", "truth_params": {**custom, "beta_values": [0.0, v]}}
+                for v in (float("inf"), float("nan"), "high"))):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(d)
     assert ExperimentConfig.from_dict({"truth_params": {"depth": 0.4}}).truth_params == {"depth": 0.4}
@@ -226,29 +231,35 @@ def test_dataset_regeneration_is_byte_identical(tmp_path):
             assert fa.read() == fb.read()
 
 
-def test_fine_workspace_is_built_once_per_mesh(tmp_path, monkeypatch):
-    # generate_data reuses the data mesh's workspace across cases, and the
-    # data from the cached workspace are bitwise those of a fresh build
+def test_workspace_is_built_once_per_mesh(tmp_path, monkeypatch):
+    # generate_data reuses the data mesh's workspace across cases and
+    # build_problem the inversion mesh's; data and MAP from the cached
+    # workspaces are bitwise those of fresh builds
     built = []
 
     class CountingWorkspace(fem.FemWorkspace):
         def __init__(self, mesh):
-            built.append(mesh)
+            built.append((mesh.nx, mesh.ny))
             super().__init__(mesh)
 
     monkeypatch.setattr(fem, "FemWorkspace", CountingWorkspace)
     cfg = small_config(tmp_path, truth_profile="example2", seed=11)
-    harness._fine_workspace.cache_clear()
+    fem.workspace.cache_clear()
     try:
         fresh = generate_data(cfg)
+        fresh_map = run_map(cfg, fresh).m_map
         generate_data(dataclasses.replace(cfg, seed=12, n_loads=2))
         cached = generate_data(cfg)
+        problems = [build_problem(cfg, cached) for _ in range(2)]
+        assert problems[0].ws is problems[1].ws
+        cached_map = run_map(cfg, cached, problems[0]).m_map
     finally:
-        harness._fine_workspace.cache_clear()
-    assert len(built) == 1
+        fem.workspace.cache_clear()
+    assert sorted(built) == [(24, 2), (60, 4)]
     for name in ("y", "y_noiseless", "truth_f", "truth_beta", "truth_s"):
         assert np.array_equal(getattr(fresh, name), getattr(cached, name))
     assert fresh.delta_e == cached.delta_e
+    assert np.array_equal(fresh_map, cached_map)
 
 
 def test_dataset_file_roundtrip(tmp_path):
@@ -336,6 +347,30 @@ def test_run_map_linearizes_each_gauss_newton_point_once(tmp_path, monkeypatch, 
     np.testing.assert_array_equal(result.report.hessian, H)
     np.testing.assert_array_equal(result.laplace.covariance,
                                   optimize.laplace(result.m_map, H).covariance)
+
+
+def test_run_map_assembles_each_line_search_point_once(tmp_path, monkeypatch):
+    # the point the line search accepts is linearised from its kept
+    # evaluation, so only the start is assembled outside the line search
+    cfg = small_config(tmp_path)
+    ds = generate_data(cfg)
+    assemblies, evaluations = [], []
+    assemble, potential_value = fem.assemble, Problem.potential_value
+
+    def counted_assemble(*args):
+        assemblies.append(1)
+        return assemble(*args)
+
+    def counted_value(self, m):
+        evaluations.append(1)
+        return potential_value(self, m)
+
+    monkeypatch.setattr(fem, "assemble", counted_assemble)
+    monkeypatch.setattr(Problem, "potential_value", counted_value)
+    result = run_map(cfg, ds)
+    assert result.report.reason == "gradient reduction reached"
+    assert len(evaluations) >= result.report.n_iters > 0
+    assert len(assemblies) == len(evaluations) + 1
 
 
 def test_run_mcmc_artifacts(small_pipeline):
@@ -464,6 +499,24 @@ def test_cli_non_positive_truth_height_exits_1(tmp_path, capsys):
         path, cfg = write_config(tmp_path, truth_profile=profile, truth_params=params)
         assert cli.main(["generate-data", "--config", path]) == 1
         assert f"truth profile {profile!r}" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(cfg.output_dir, "dataset.json"))
+
+
+def test_cli_overflowing_custom_truth_exits_1(tmp_path, capsys):
+    # exp(1e308) overflows the truth's assembly, and an infinite value is
+    # no truth: both are config errors naming the profile, not numerical
+    # failures, and nothing is written
+    path, cfg = write_config(tmp_path)
+    with open(path) as fh:
+        d = json.load(fh)
+    for value in (1e308, float("inf")):
+        d.update(truth_profile="custom",
+                 truth_params={"f_x": [0.0, 1.0], "f_values": [1.0, 1.0],
+                               "beta_x": [0.0, 1.0], "beta_values": [0.0, value]})
+        with open(path, "w") as fh:
+            json.dump(d, fh)
+        assert cli.main(["generate-data", "--config", path]) == 1
+        assert "truth profile 'custom'" in capsys.readouterr().err
         assert not os.path.exists(os.path.join(cfg.output_dir, "dataset.json"))
 
 

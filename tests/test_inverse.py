@@ -29,6 +29,20 @@ def test_potential_recomposition(rng):
     assert np.isclose(ev.misfit, misfit) and np.isclose(ev.prior, prior)
 
 
+def test_potential_keeps_its_last_evaluation(rng):
+    # the kept evaluation is returned only for a vector equal to the last
+    # one; a caller that changes its array in place gets a new evaluation
+    prob = small_problem()
+    m, m2 = random_valid_parameters(prob, rng), random_valid_parameters(prob, rng)
+    for x in (m, m2, m):
+        assert prob.potential(x).J == small_problem().potential(x).J
+    assert prob.potential(m.copy()) is prob.potential(m)
+    x = m.copy()
+    J = prob.potential(x).J
+    x[0] += 1e-3
+    assert prob.potential(x).J == small_problem().potential(x).J != J
+
+
 def test_noise_scaling_quarters_misfit(rng):
     prob = small_problem(noise_std=0.004)
     prob2 = small_problem(noise_std=0.008)
@@ -116,10 +130,10 @@ def test_adjoint_matches_jacobian_gradient_desk(rng):
 
 
 def test_desk_jacobian_memory_is_bounded(rng):
-    # folding each load into the coefficient derivatives keeps the
-    # temporaries at (T, n_loads, n_alpha) and (2E, n_loads, n), never a
-    # product per load and sensor pair: all 8 x 32 pair products at once
-    # peaked at 13.1-13.8 MB of live NumPy memory, the fold measured 4.4 MB
+    # folding one load at a time into the coefficient derivatives keeps the
+    # temporaries at (n_alpha, 2, T) and (2E, n), never a product per load
+    # and sensor pair: all 8 x 32 pair products at once peaked at
+    # 13.1-13.8 MB of live NumPy memory, the per-load fold measured 2.2 MB
     prob = desk_problem()
     m = random_valid_parameters(prob, rng)
     ev = prob.potential(m)

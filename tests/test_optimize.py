@@ -67,7 +67,7 @@ def recentered_problem():
     from robinshape.inverse import Problem
     prob, m_true = self_consistent_problem()
     prior = dataclasses.replace(prob.prior, mean=m_true)
-    prob2 = Problem(mesh=prob.mesh, p=prob.p, prior=prior, data=prob.data,
+    prob2 = Problem(ws=prob.ws, p=prob.p, prior=prior, data=prob.data,
                     noise_std=prob.noise_std, sensor_x1=prob.sensor_x1,
                     n_loads=prob.n_loads)
     return prob2, m_true
