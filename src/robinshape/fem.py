@@ -18,6 +18,11 @@ the per-mesh operator `FemWorkspace.K`, then one banded Cholesky factorization.
 the data generator, the inverse problem and `solve_deformed` all go through it.
 `workspace` builds the workspace of a slab mesh once and shares it between
 the data generator and every inverse problem on that mesh.
+
+The free nodes are the only vector space this module hands out: loads,
+solutions, the sensor operator and the element operators `grad_op` and
+`top_op` all live on the free nodes in `FemWorkspace.free` order.  The
+Dirichlet values are zero, so no caller ever needs the full nodal vector.
 """
 from __future__ import annotations
 
@@ -68,9 +73,7 @@ class FemWorkspace:
         self.bottom_edges = self._sorted_edges(mesh.edge_groups["bottom"])
 
         x1 = mesh.nodes[:, 0]
-        self.dirichlet = np.flatnonzero((x1 == 0.0) | (x1 == mesh.L))
-        free_mask = np.ones(mesh.n_nodes, dtype=bool)
-        free_mask[self.dirichlet] = False
+        free_mask = (x1 != 0.0) & (x1 != mesh.L)
         # column-major order keeps the reduced system banded; it also holds on
         # the deformed mesh, where x1 is unchanged and x2 scales by f > 0
         free = np.flatnonzero(free_mask)
@@ -129,14 +132,28 @@ class FemWorkspace:
 
     @functools.cached_property
     def grad_op(self) -> sp.csr_matrix:
-        """P1 gradient operator (2T, N): row c * T + t of grad_op @ u is
-        component c of grad(u) on triangle t."""
+        """P1 gradient operator (2T, n_free): row c * T + t of grad_op @ u is
+        component c of grad(u) on triangle t, for free-node values u."""
         T = self.areas.size
         rows = np.arange(2 * T).reshape(2, T, 1).repeat(3, axis=2)
         cols = np.broadcast_to(self.mesh.triangles, rows.shape)
-        return sp.csr_matrix((self.grads.transpose(2, 0, 1).ravel(),
-                              (rows.ravel(), cols.ravel())),
-                             shape=(2 * T, self.mesh.n_nodes))
+        return self._on_free(self.grads.transpose(2, 0, 1), rows, cols)
+
+    @functools.cached_property
+    def top_op(self) -> sp.csr_matrix:
+        """Top-edge point values (2E, n_free): row 2 * e + g of top_op @ u is
+        u at quadrature point g of top edge e, for free-node values u."""
+        E = self.top_edges.shape[0]
+        rows = np.arange(2 * E).reshape(E, 2, 1).repeat(2, axis=2)
+        cols = np.broadcast_to(self.top_edges[:, None, :], rows.shape)
+        return self._on_free(np.broadcast_to(_EDGE_PHI, rows.shape), rows, cols)
+
+    def _on_free(self, vals, rows, cols) -> sp.csr_matrix:
+        # an operator on the nodal values, restricted to the free-node
+        # columns: the Dirichlet values are zero, so dropping them is exact
+        full = sp.csr_matrix((np.ravel(vals), (rows.ravel(), cols.ravel())),
+                             shape=(rows.max(initial=-1) + 1, self.mesh.n_nodes))
+        return full[:, self.free]
 
     @functools.cached_property
     def hat_t(self) -> np.ndarray:
@@ -192,27 +209,17 @@ class AssembledSystem:
 
     band: np.ndarray
     chol: np.ndarray
-    ws: FemWorkspace
     profile: tuple | None = None
     robin: np.ndarray | None = None
 
-    def solve(self, rhs_full: np.ndarray) -> np.ndarray:
-        """Solve for full nodal vectors; Dirichlet entries of the result are zero.
-
-        rhs_full may be (N,) or (N, k).
-        """
-        rhs = np.asarray(rhs_full, dtype=float)
-        squeeze = rhs.ndim == 1
-        rhs = rhs.reshape(rhs.shape[0], -1)
-        u_free = la.cho_solve_banded((self.chol, False), rhs[self.ws.free])
-        u = np.zeros_like(rhs)
-        u[self.ws.free] = u_free
-        return u[:, 0] if squeeze else u
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve for free-node right-hand sides rhs, (n_free,) or (n_free, k)."""
+        return la.cho_solve_banded((self.chol, False), rhs)
 
 
 @dataclass
 class ForwardState:
-    solutions: np.ndarray  # (N, n_loads)
+    solutions: np.ndarray  # (n_free, n_loads)
     system: AssembledSystem
     y: np.ndarray  # sensor values, load-major: length n_loads * n_sensors
 
@@ -261,23 +268,17 @@ def assemble(ws: FemWorkspace, profile, beta: np.ndarray) -> AssembledSystem:
     lw = _EDGE_W[None, :] * ws.top_len[:, None]
     band, chol = _factor(ws, S11, S12, S22,
                          coeff * admittance_factor_from(df_top, ws.mesh.H) * lw)
-    return AssembledSystem(band=band, chol=chol, ws=ws,
+    return AssembledSystem(band=band, chol=chol,
                            profile=(f_vol, df_vol, df_top), robin=coeff * lw)
 
 
 def neumann_load(ws: FemWorkspace, k: int) -> np.ndarray:
-    """Load vector for the bottom-edge current sin(2 pi k s / L).
-
-    Dirichlet entries are zeroed.
-    """
+    """Free-node load vector for the bottom-edge current sin(2 pi k s / L)."""
     squad, lengths = ws.edge_quad(ws.bottom_edges)
     g = np.sin(2.0 * np.pi * k * squad / ws.mesh.L)
     wq = g * (_EDGE_W[None, :] * lengths[:, None])
     f_loc = wq @ _EDGE_PHI  # (E, 2)
-    F = np.zeros(ws.mesh.n_nodes)
-    np.add.at(F, ws.bottom_edges.ravel(), f_loc.ravel())
-    F[ws.dirichlet] = 0.0
-    return F
+    return np.bincount(ws.bottom_edges.ravel(), f_loc.ravel(), ws.mesh.n_nodes)[ws.free]
 
 
 def all_loads(ws: FemWorkspace, n_loads: int) -> np.ndarray:
@@ -285,7 +286,8 @@ def all_loads(ws: FemWorkspace, n_loads: int) -> np.ndarray:
 
 
 def bottom_interpolator(ws: FemWorkspace, sensor_x1: np.ndarray) -> sp.csr_matrix:
-    """Sparse operator mapping a full nodal vector to bottom-edge sensor values."""
+    """Sparse operator (n_sensors, n_free) mapping free-node values to
+    bottom-edge sensor values."""
     sensor_x1 = np.asarray(sensor_x1, dtype=float)
     if np.any(sensor_x1 < 0.0) or np.any(sensor_x1 > ws.mesh.L):
         raise ValueError("sensor locations must lie in [0, L]")
@@ -296,13 +298,12 @@ def bottom_interpolator(ws: FemWorkspace, sensor_x1: np.ndarray) -> sp.csr_matri
     seg = np.clip(np.searchsorted(xs, sensor_x1, side="right") - 1, 0, xs.size - 2)
     t = (sensor_x1 - xs[seg]) / (xs[seg + 1] - xs[seg])
     rows = np.repeat(np.arange(sensor_x1.size), 2)
-    cols = np.column_stack([bottom_nodes[seg], bottom_nodes[seg + 1]]).ravel()
-    vals = np.column_stack([1.0 - t, t]).ravel()
-    return sp.csr_matrix((vals, (rows, cols)), shape=(sensor_x1.size, ws.mesh.n_nodes))
+    cols = np.column_stack([bottom_nodes[seg], bottom_nodes[seg + 1]])
+    return ws._on_free(np.column_stack([1.0 - t, t]), rows, cols)
 
 
 def forward(system: AssembledSystem, loads: np.ndarray, B) -> ForwardState:
-    """Solve the assembled system for every load column (N, n_loads) and read
+    """Solve the assembled system for every load column (n_free, n_loads) and read
     the solutions out through the sensor operator B: the one forward map."""
     U = system.solve(loads)
     if not np.all(np.isfinite(U)):
@@ -332,5 +333,5 @@ def solve_deformed(mesh: SlabMesh, shape, beta: np.ndarray, n_loads: int,
     wq = np.exp(np.interp(ws.top_squad, ws.trace.s, np.asarray(beta, dtype=float))) * (
         _EDGE_W[None, :] * lengths[:, None])
     band, chol = _factor(ws, ws.areas, np.zeros_like(ws.areas), ws.areas, wq)
-    return forward(AssembledSystem(band=band, chol=chol, ws=ws), all_loads(ws, n_loads),
+    return forward(AssembledSystem(band=band, chol=chol), all_loads(ws, n_loads),
                    bottom_interpolator(ws, sensor_x1))

@@ -37,8 +37,9 @@ class MeshSpec:
         if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool)
                    for v in (self.nx, self.ny)):
             raise ValueError("mesh nx and ny must be integers")
-        if self.nx < 1 or self.ny < 1:
-            raise ValueError("mesh nx and ny must be at least 1")
+        # one column has no free node: both of its node columns are Dirichlet
+        if self.nx < 2 or self.ny < 1:
+            raise ValueError("mesh nx must be at least 2 and ny at least 1")
 
 
 @dataclass
@@ -333,11 +334,10 @@ class MapResult:
     problem: Problem
 
 
-def run_map(config: ExperimentConfig, dataset: SyntheticDataset,
-            problem: Problem | None = None) -> MapResult:
+def run_map(config: ExperimentConfig, dataset: SyntheticDataset) -> MapResult:
     """Gauss-Newton MAP estimate plus Laplace approximation; writes a JSON
     report and CSV envelope tables to the output directory."""
-    problem = problem or build_problem(config, dataset)
+    problem = build_problem(config, dataset)
     m_map, report = optimize.gauss_newton(problem, problem.prior_mean, config.gn)
     lap = optimize.laplace(m_map, report.hessian)
 

@@ -43,7 +43,6 @@ from .geometry import (InvalidShapeError,
                        admittance_alpha_entries_from, admittance_factor_from,
                        fourier_basis, pushforward_alpha_entries_from)
 from .priors import GaussianPrior
-from .fem import _EDGE_PHI
 
 
 @dataclass
@@ -100,10 +99,8 @@ class Problem:
         # -x2 * basis', so their quadrature-weighted sums are constant
         x2q = self.ws.quad_pts[..., 1]
         self.wg = np.broadcast_to(self.ws.areas[:, None] / 3.0, x2q.shape)
-        self.D11c = np.einsum("tg,tgi->ti", self.wg, self.Vq)
-        self.D12c = -np.einsum("tg,tgi->ti", self.wg * x2q, self.dVq)
-        # the same, laid out (n_alpha, T) for the Jacobian's fold
-        self.D11t, self.D12t = (np.ascontiguousarray(D.T) for D in (self.D11c, self.D12c))
+        self.D11t = np.einsum("tg,tgi->it", self.wg, self.Vq, order="C")
+        self.D12t = -np.einsum("tg,tgi->it", self.wg * x2q, self.dVq, order="C")
         self._kept = None  # (copy of m, its PotentialEvaluation)
 
     # -- parameter layout ---------------------------------------------------
@@ -150,12 +147,10 @@ class Problem:
 
     def _element_values(self, X: np.ndarray):
         """Stacked triangle gradients (2T, k), x1 then x2 component, and
-        top-edge point values (2E, k) of the nodal columns X (N, k)."""
-        return (self.ws.grad_op @ X,
-                np.einsum("enk,gn->egk", X[self.ws.top_edges], _EDGE_PHI).reshape(-1, X.shape[1]))
+        top-edge point values (2E, k) of the free-node columns X."""
+        return self.ws.grad_op @ X, self.ws.top_op @ X
 
-    def gradient(self, m: np.ndarray,
-                 evaluation: PotentialEvaluation | None = None) -> np.ndarray:
+    def gradient(self, m: np.ndarray) -> np.ndarray:
         """Full gradient of J: sum_l v_l^T (dA/dm) u_l over the forward
         solutions u_l and their residual adjoints v_l, plus the prior.
 
@@ -164,13 +159,13 @@ class Problem:
         transpose of the assembly operator, then pulled back to the
         parameters.  The s22 and Robin sensitivities are first reduced onto
         the distinct abscissae ws.x1, where the Fourier basis is cached."""
-        ev = evaluation if evaluation is not None else self.potential(m)
+        ev = self.potential(m)
         if not np.isfinite(ev.J):
             raise InvalidShapeError("cannot differentiate at an invalid shape")
         system, ws = ev.state.system, self.ws
         r = (self.data - ev.state.y).reshape(self.n_loads, -1)  # (loads, sensors)
         V = system.solve(self.inv_noise_var * (self.BT @ r.T))
-        z = ws.KT @ ws.band_pairs(ev.state.solutions[ws.free], V[ws.free])
+        z = ws.KT @ ws.band_pairs(ev.state.solutions, V)
         T, nx = ws.areas.size, ws.x1.size
         z22 = self.wg * z[2 * T:3 * T, None]
         zq = system.robin * z[3 * T:].reshape(-1, 2)
@@ -179,7 +174,7 @@ class Problem:
         slope = (np.bincount(ws.vol_at.ravel(), (z22 * b).ravel(), nx)
                  + np.bincount(ws.top_at.ravel(), (zq * admittance_alpha_entries_from(
                      df_top, self.mesh.H)).ravel(), nx))
-        g_alpha = (z[:T] @ self.D11c + z[T:2 * T] @ self.D12c
+        g_alpha = (self.D11t @ z[:T] + self.D12t @ z[T:2 * T]
                    + np.bincount(ws.vol_at.ravel(), (z22 * a).ravel(), nx) @ self.Vx
                    + slope @ self.dVx)
         g_beta = ((zq * admittance_factor_from(df_top, self.mesh.H)).ravel()
@@ -192,10 +187,9 @@ class Problem:
         ev = self.potential(m)
         if not np.isfinite(ev.J):
             return np.inf, None
-        return ev.J, self.gradient(m, evaluation=ev)
+        return ev.J, self.gradient(m)
 
-    def jacobian(self, m: np.ndarray,
-                 evaluation: PotentialEvaluation | None = None) -> np.ndarray:
+    def jacobian(self, m: np.ndarray) -> np.ndarray:
         """Dense (m_obs, n) Jacobian of the observation map.
 
         Row (k, s) is -w_s^T (dA/dm) u_k with w_s = A^-1 B^T e_s the adjoint of
@@ -208,11 +202,11 @@ class Problem:
         load k.  Folding one load at a time keeps every temporary at one
         load's share, so the transient memory stays small and is reused.
         """
-        ev = evaluation if evaluation is not None else self.potential(m)
+        ev = self.potential(m)
         if not np.isfinite(ev.J):
             raise InvalidShapeError("cannot linearize at an invalid shape")
         system = ev.state.system
-        W = system.solve(self.BT.toarray())  # (N, sensors)
+        W = system.solve(self.BT.toarray())  # (n_free, sensors)
         gu, tu = self._element_values(ev.state.solutions)
         gw, tw = self._element_values(W)
         K, S, T, na = gu.shape[1], gw.shape[1], self.ws.areas.size, self.n_alpha
@@ -245,5 +239,5 @@ class Problem:
         ev = self.potential(m)
         if not np.isfinite(ev.J):
             return np.inf, None, None
-        return ev.J, ev.state.y, self.jacobian(m, evaluation=ev)
+        return ev.J, ev.state.y, self.jacobian(m)
 

@@ -106,8 +106,8 @@ def test_criterion_03_gradient_jacobian_consistency():
     for _ in range(10):
         m = random_valid_parameters(prob, rng)
         ev = prob.potential(m)
-        g = prob.gradient(m, evaluation=ev)
-        G = prob.jacobian(m, evaluation=ev)
+        g = prob.gradient(m)
+        G = prob.jacobian(m)
         g_prior = prob.prior_precision @ (m - prob.prior_mean)
         g_ref = G.T @ (ev.state.y - prob.data) / prob.noise_std ** 2 + g_prior
         worst = max(worst, float(np.max(np.abs(g - g_ref))

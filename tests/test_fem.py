@@ -11,10 +11,10 @@ def flat_shape(p=2):
     return BoundaryShape(alpha=np.zeros(2 * p + 1), L=1.0, H=0.05)
 
 
-def forward(system, n_loads, sensors=(0.5,)):
+def forward(ws, system, n_loads, sensors=(0.5,)):
     """fem.forward for load patterns 1..n_loads, read at bottom-edge sensors."""
-    return fem.forward(system, fem.all_loads(system.ws, n_loads),
-                       fem.bottom_interpolator(system.ws, sensors))
+    return fem.forward(system, fem.all_loads(ws, n_loads),
+                       fem.bottom_interpolator(ws, sensors))
 
 
 def hand_stiffness(mesh):
@@ -147,6 +147,9 @@ def test_band_transpose_matches_element_products(nx, ny, rng):
         np.sum(gu[:, 1] * gv[:, 1], axis=1),
         np.sum(top(Uf) * top(Vf), axis=2).ravel()])
     assert np.max(np.abs(z - ref)) <= 1e-12 * np.max(np.abs(ref))
+    # the free-node element operators against the same full-node references
+    for got, want in ((ws.grad_op @ U, grad(Uf).transpose(1, 0, 2)), (ws.top_op @ U, top(Uf))):
+        assert np.max(np.abs(got - want.reshape(got.shape))) <= 1e-14 * np.max(np.abs(want))
 
     # sum_l v_l^T A u_l == c . (KT @ p) on an assembled system
     T, E = mesh.triangles.shape[0], ws.top_edges.shape[0]
@@ -227,7 +230,7 @@ def test_neumann_load_against_dense_quadrature():
         hat = lambda s: max(0.0, 1.0 - abs(s - xm) / h)
         oracle = quad(lambda s: np.sin(2 * np.pi * s) * hat(s),
                       xm - h, xm + h, limit=200)[0]
-        assert abs(F[node] - oracle) < 1e-10
+        assert abs(F[ws.full_to_free[node]] - oracle) < 1e-10
 
 
 def test_load_count():
@@ -243,7 +246,7 @@ def test_solve_linearity():
     ws = fem.FemWorkspace(mesh)
     beta = np.zeros(ws.trace.n_nodes)
     system = fem.assemble(ws, flat_shape().eval(ws.x1), beta)
-    assert np.all(system.solve(np.zeros(mesh.n_nodes)) == 0.0)
+    assert np.all(system.solve(np.zeros(ws.free.size)) == 0.0)
     F = fem.neumann_load(ws, 2)
     u = system.solve(F)
     np.testing.assert_allclose(system.solve(3.0 * F), 3.0 * u, rtol=1e-12,
@@ -256,12 +259,12 @@ def test_solve_residual_and_energy():
     alpha = np.array([0.0, 0.03, -0.02, 0.01, 0.02])
     beta = 0.4 * np.sin(2 * np.pi * ws.trace.s)
     system = fem.assemble(ws, BoundaryShape(alpha=alpha).eval(ws.x1), beta)
-    state = forward(system, 4)
+    state = forward(ws, system, 4)
     F = fem.all_loads(ws, 4)
     A = dense(system)
     for k in range(4):
-        u_free = state.solutions[ws.free, k]
-        resid = A @ u_free - F[ws.free, k]
+        u_free = state.solutions[:, k]
+        resid = A @ u_free - F[:, k]
         assert np.linalg.norm(resid) <= 1e-10 * np.linalg.norm(F[:, k])
         energy = u_free @ (A @ u_free)
         assert np.isclose(energy, F[:, k] @ state.solutions[:, k], rtol=1e-10)
@@ -270,11 +273,12 @@ def test_solve_residual_and_energy():
 def test_large_admittance_suppresses_top_potential():
     mesh = build_slab_mesh(1.0, 0.05, 24, 3)
     ws = fem.FemWorkspace(mesh)
-    tops = ws.trace.parent_nodes
+    tops = ws.full_to_free[ws.trace.parent_nodes]
+    tops = tops[tops >= 0]  # the two Dirichlet corners hold zero
     sup = []
     for b in (-2.0, 0.0, 2.0, 4.0, 7.0):
         system = fem.assemble(ws, flat_shape().eval(ws.x1), np.full(ws.trace.n_nodes, b))
-        state = forward(system, 1)
+        state = forward(ws, system, 1)
         sup.append(np.max(np.abs(state.solutions[tops, 0])))
     assert all(a > b for a, b in zip(sup, sup[1:]))
 
@@ -283,8 +287,9 @@ def test_observe_at_nodes_and_midpoints():
     mesh = build_slab_mesh(1.0, 0.05, 8, 2)
     ws = fem.FemWorkspace(mesh)
     system = fem.assemble(ws, flat_shape().eval(ws.x1), np.zeros(ws.trace.n_nodes))
-    state = forward(system, 2, np.array([0.25, 0.3125]))
-    u = state.solutions
+    state = forward(ws, system, 2, np.array([0.25, 0.3125]))
+    u = np.zeros((mesh.n_nodes, 2))
+    u[ws.free] = state.solutions
     # bottom row nodes are 0..8 at spacing 1/8
     assert np.isclose(state.y[0], u[2, 0])
     assert np.isclose(state.y[1], 0.5 * (u[2, 0] + u[3, 0]))
@@ -297,13 +302,13 @@ def test_observe_layout_and_range_check():
     mesh = build_slab_mesh(1.0, 0.05, 16, 2)
     ws = fem.FemWorkspace(mesh)
     system = fem.assemble(ws, flat_shape().eval(ws.x1), np.zeros(ws.trace.n_nodes))
-    state = forward(system, 8, (np.arange(32) + 0.5) / 32)
+    state = forward(ws, system, 8, (np.arange(32) + 0.5) / 32)
     assert state.y.size == 256
     with pytest.raises(ValueError):
-        forward(system, 8, np.array([-0.1]))
+        forward(ws, system, 8, np.array([-0.1]))
     # a solution that overflows is a solver failure, not data
     loads = fem.all_loads(ws, 2)
-    loads[ws.free, 1] = 1e308
+    loads[:, 1] = 1e308
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(fem.SolverError):
         fem.forward(system, loads, fem.bottom_interpolator(ws, [0.5]))
 
@@ -316,7 +321,7 @@ def test_pushforward_invariance_moderate():
     ws = fem.FemWorkspace(mesh)
     beta = 1.0 + 0.5 * np.sin(2 * np.pi * ws.trace.s)
     sensors = (np.arange(16) + 0.5) / 16
-    ref = forward(fem.assemble(ws, shape.eval(ws.x1), beta), 3, sensors)
+    ref = forward(ws, fem.assemble(ws, shape.eval(ws.x1), beta), 3, sensors)
     deformed = fem.solve_deformed(mesh, shape, beta, 3, sensors)
     rel = (np.linalg.norm(ref.y - deformed.y) / np.linalg.norm(deformed.y))
     assert rel < 1e-3
@@ -329,7 +334,7 @@ def test_flat_shape_deformed_solve_matches_pushforward():
     ws = fem.FemWorkspace(mesh)
     beta = 0.5 * np.sin(2 * np.pi * ws.trace.s)
     sensors = (np.arange(16) + 0.5) / 16
-    ref = forward(fem.assemble(ws, flat_shape().eval(ws.x1), beta), 4, sensors)
+    ref = forward(ws, fem.assemble(ws, flat_shape().eval(ws.x1), beta), 4, sensors)
     deformed = fem.solve_deformed(mesh, flat_shape(), beta, 4, sensors)
     assert np.linalg.norm(ref.y - deformed.y) <= 1e-12 * np.linalg.norm(ref.y)
 

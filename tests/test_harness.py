@@ -76,6 +76,8 @@ def test_out_of_range_settings_rejected_before_any_work(tmp_path):
                 {"mala": {"max_steps": 150.5, "burn_in": 10}}, {"mala": {"burn_in": 10.0}},
                 {"gn": {"max_iters": 5.5}}, {"mala": {"check_interval": True}},
                 {"inversion_mesh": {"nx": 77.5, "ny": 7}},
+                # one column has no free node: an empty inversion or all-zero data
+                {"inversion_mesh": {"nx": 1, "ny": 2}}, {"fine_mesh": {"nx": 1, "ny": 30}},
                 {"n_sensors": 4.5}, {"n_loads": 8.5}, {"p": 7.5}, {"seed": 2.0},
                 {"n_loads": True}, {"p": -1}, {"seed": -1}, {"sigma_alpha2": -1},
                 {"delta_beta2": 0.0}, {"corr_l": -10.0}, {"noise_percent": -1.0},
@@ -252,7 +254,7 @@ def test_workspace_is_built_once_per_mesh(tmp_path, monkeypatch):
         cached = generate_data(cfg)
         problems = [build_problem(cfg, cached) for _ in range(2)]
         assert problems[0].ws is problems[1].ws
-        cached_map = run_map(cfg, cached, problems[0]).m_map
+        cached_map = run_map(cfg, cached).m_map
     finally:
         fem.workspace.cache_clear()
     assert sorted(built) == [(24, 2), (60, 4)]
