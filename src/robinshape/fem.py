@@ -10,10 +10,16 @@ is shared by all loads and adjoint solves.
 The boundary shape enters `assemble` only through the profile (f, df/dx1) at
 the workspace's distinct quadrature abscissae `FemWorkspace.x1`: the slab is a
 tensor-product mesh, so its volume and top-edge quadrature points share a few
-hundred x1 values.  `assemble` (push-forward tensor on the reference slab) and
-the verification path `solve_deformed` (isotropic operator on the stretched
-mesh, chord lengths on the slanted top edge) share `_factor`: one product with
-the per-mesh operator `FemWorkspace.K`, then one banded Cholesky factorization.
+hundred x1 values.  The push-forward tensor is linear in the features
+[f, df, 1/f, df^2/f] at those abscissae, so `assemble` is one product of the
+features and the top-edge Robin weights with the fused per-mesh operator
+`FemWorkspace.F`, which composes the volume quadrature with the
+coefficient-to-band operator K (`FemWorkspace.coefficient_operator`); its
+transpose `FT` is the exact adjoint the gradient uses.  The verification
+path `solve_deformed` (isotropic operator on the stretched mesh, chord
+lengths on the slanted top edge) goes through K directly.  Both end in
+`_factor`, the one banded Cholesky factorization, called straight through
+LAPACK.
 `forward` solves every load and reads the bottom-edge sensors out load-major;
 the data generator, the inverse problem and `solve_deformed` all go through it.
 `workspace` builds the workspace of a slab mesh once and shares it between
@@ -30,10 +36,13 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as la
 import scipy.sparse as sp
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 
-from .geometry import (InvalidShapeError, admittance_factor_from,
+# pushforward_entries_from stays importable from this module: the fused
+# operator F replaces its pointwise use, and perfbench/tracer.py wraps
+# fem.pushforward_entries_from by name
+from .geometry import (InvalidShapeError, admittance_factor_from,  # noqa: F401
                        pushforward_entries_from)
 from .mesh import SlabMesh, build_slab_mesh, trace_of_top, triangle_areas
 
@@ -82,53 +91,99 @@ class FemWorkspace:
         self.full_to_free[self.free] = np.arange(self.free.size)
 
         # The reduced system in LAPACK upper banded storage is linear in the
-        # coefficients c = [S11 (T), S12 (T), S22 (T), wq (2E)], so every
-        # assembly is one product with the sparse operator K from c to the
-        # flattened band.  The local matrices are exactly symmetric, so the
-        # upper triangle (r <= c) holds all of the system.
+        # coefficients c = [S11 (T), S12 (T), S22 (T), wq (2E)] (see
+        # coefficient_operator).  The local matrices are exactly symmetric,
+        # so the upper triangle (r <= c) holds all of the system.
         self.top_squad, self.top_len = self.edge_quad(self.top_edges)
-        tri = mesh.triangles
-        T, E = tri.shape[0], self.top_edges.shape[0]
-        rows = np.concatenate([np.repeat(tri, 3, axis=1).ravel(),
-                               np.repeat(self.top_edges, 2, axis=1).ravel()])
-        cols = np.concatenate([np.tile(tri, (1, 3)).ravel(),
-                               np.tile(self.top_edges, (1, 2)).ravel()])
-        r, c = self.full_to_free[rows], self.full_to_free[cols]
-        keep = free_mask[rows] & free_mask[cols] & (r <= c)
-        self.band_u = int(np.max((c - r)[keep], initial=0))
-        pos = np.where(keep, (self.band_u + r - c) * self.free.size + c, -1)
-        # K's triplets (band position, coefficient, value): the local entries
-        # of triangle t carry the gradient outer products for t, T + t, 2T + t,
-        # those of top edge e the hat products at its point g for 3T + 2e + g
-        gx, gy = self.grads[..., 0], self.grads[..., 1]
-        vol, top = pos[:9 * T], pos[9 * T:]
-        of_tri, of_edge = np.repeat(np.arange(T), 9), 3 * T + 2 * np.repeat(np.arange(E), 4)
-        triplets = [(vol, of_tri, gx[:, :, None] * gx[:, None, :]),
-                    (vol, T + of_tri, gx[:, :, None] * gy[:, None, :] + gy[:, :, None] * gx[:, None, :]),
-                    (vol, 2 * T + of_tri, gy[:, :, None] * gy[:, None, :])]
-        triplets += [(top, of_edge + g, np.tile(np.outer(phi, phi), (E, 1)))
-                     for g, phi in enumerate(_EDGE_PHI)]
-        at, j, v = (np.concatenate([np.ravel(t[i]) for t in triplets]) for i in range(3))
-        self.K = sp.csr_matrix((v[at >= 0], (at[at >= 0], j[at >= 0])),
-                               shape=((self.band_u + 1) * self.free.size, 3 * T + 2 * E))
-        # the band diagonals K writes, ascending from the main one
-        written = np.unique(np.flatnonzero(np.diff(self.K.indptr)) // self.free.size)
-        self.offsets = self.band_u - written[::-1]
+        r, c, keep = self._local_pairs()
+        # the band diagonals the local entries write, ascending from the main one
+        self.offsets = np.unique((c - r)[keep])
+        self.band_u = int(np.max(self.offsets, initial=0))
 
         # distinct x1 of the volume and top-edge quadrature points, with the
-        # gathers vol_at (T, 3) and top_at (E, 2) back onto the points
+        # gathers vol_at (T, 3) and top_at (E, 2) back onto the points; the
+        # Gauss points lie inside disjoint edges, so top_at has no repeats
         xq = np.concatenate([self.quad_pts[..., 0].ravel(), self.top_squad.ravel()])
         self.x1, at = np.unique(xq, return_inverse=True)
         n_vol = self.quad_pts[..., 0].size
         self.vol_at = at[:n_vol].reshape(self.quad_pts.shape[:2])
         self.top_at = at[n_vol:].reshape(self.top_squad.shape)
+        self.top_lw = _EDGE_W[None, :] * self.top_len[:, None]
+
+    def _local_pairs(self):
+        """Free-node row and column (r, c) of every local matrix entry, the
+        triangles' 3 x 3 entries then the top edges' 2 x 2, and the mask of
+        the entries in the upper band of the reduced system."""
+        tri = self.mesh.triangles
+        rows = np.concatenate([np.repeat(tri, 3, axis=1).ravel(),
+                               np.repeat(self.top_edges, 2, axis=1).ravel()])
+        cols = np.concatenate([np.tile(tri, (1, 3)).ravel(),
+                               np.tile(self.top_edges, (1, 2)).ravel()])
+        r, c = self.full_to_free[rows], self.full_to_free[cols]
+        return r, c, (r >= 0) & (c >= 0) & (r <= c)
+
+    def coefficient_operator(self) -> sp.csr_matrix:
+        """The sparse operator K from the coefficients c to the flattened
+        band: band = K @ c.  Built on each call, since only the build of F
+        and the deformed-domain solve use it, so no shared workspace keeps
+        it."""
+        T, E = self.areas.size, self.top_edges.shape[0]
+        r, c, keep = self._local_pairs()
+        pos = (self.band_u + r - c) * self.free.size + c
+        # K's triplets (band position, coefficient, value) for the entries in
+        # the band: entry a, b of triangle t carries the gradient outer
+        # products for t, T + t, 2T + t, entry a, b of top edge e the hat
+        # products at its point g for 3T + 2e + g
+        vol, top = np.flatnonzero(keep[:9 * T]), np.flatnonzero(keep[9 * T:])
+        t, e = vol // 9, top // 4
+        gx, gy = self.grads[..., 0], self.grads[..., 1]
+        outer = lambda u, w: (u[:, :, None] * w[:, None, :]).ravel()[vol]
+        hat = [np.tile(np.outer(phi, phi).ravel(), E)[top] for phi in _EDGE_PHI]
+        at = np.concatenate([np.tile(pos[vol], 3), np.tile(pos[9 * T + top], 2)])
+        j = np.concatenate([t, T + t, 2 * T + t, 3 * T + 2 * e, 3 * T + 2 * e + 1])
+        v = np.concatenate([outer(gx, gx), outer(gx, gy) + outer(gy, gx), outer(gy, gy), *hat])
+        return sp.csr_matrix((v, (at, j)), shape=((self.band_u + 1) * self.free.size, 3 * T + 2 * E))
 
     @functools.cached_property
-    def KT(self) -> sp.csr_matrix:
-        """CSR copy of K's transpose, which maps band sensitivities back to
-        the coefficients (`band_pairs`); built on first use, so a workspace
-        that never differentiates holds none."""
-        return self.K.T.tocsr()
+    def F(self) -> sp.csr_matrix:
+        """The fused assembly operator K M from the features to the flattened
+        band, with K the coefficient operator; built on first use.
+
+        The features are phi = [f, df, 1/f, df^2/f] at the abscissae x1,
+        then the Robin weights wq at the top-edge points (2E): the linear map
+        M from phi to the coefficients c = [S11, S12, S22, wq] holds the
+        volume quadrature, S11 = sum_g areas/3 f, S12 = sum_g -areas/3 x2 df
+        and S22 = sum_g areas/3 (1/f + x2^2 df^2/f) over the points of each
+        triangle, so that band = F @ phi is one product."""
+        T, nx, nq = self.areas.size, self.x1.size, self.top_squad.size
+        w = np.broadcast_to(self.areas[:, None] / 3.0, self.vol_at.shape)
+        x2 = self.quad_pts[..., 1]
+        tri = np.broadcast_to(np.arange(T)[:, None], self.vol_at.shape)
+        rows = np.concatenate([tri, T + tri, 2 * T + tri, 2 * T + tri]).ravel()
+        cols = np.concatenate([self.vol_at + k * nx for k in range(4)]).ravel()
+        vals = np.concatenate([w, -w * x2, w, w * x2 ** 2]).ravel()
+        top = np.arange(nq)
+        M = sp.csr_matrix((np.concatenate([vals, np.ones(nq)]),
+                           (np.concatenate([rows, 3 * T + top]),
+                            np.concatenate([cols, 4 * nx + top]))),
+                          shape=(3 * T + nq, 4 * nx + nq))
+        # the copy drops the slack of the product's over-allocated buffers
+        return (self.coefficient_operator() @ M).tocsr().copy()
+
+    @functools.cached_property
+    def FT(self) -> sp.csr_matrix:
+        """CSR copy of F's transpose, which maps band sensitivities back to
+        the features (`band_pairs`); built on first use, so a workspace that
+        never differentiates holds none."""
+        return self.F.T.tocsr()
+
+    @functools.cached_property
+    def top_interp(self) -> np.ndarray:
+        """Dense linear interpolation (2E, q) of nodal trace values onto the
+        top-edge quadrature points: row 2 * e + g is point g of top edge e."""
+        on_node = self.top_edges[..., None] == self.trace.parent_nodes
+        return np.einsum("ga,eaj->egj", _EDGE_PHI, on_node.astype(float)).reshape(
+            -1, self.trace.n_nodes)
 
     @functools.cached_property
     def grad_op(self) -> sp.csr_matrix:
@@ -155,22 +210,25 @@ class FemWorkspace:
                              shape=(rows.max(initial=-1) + 1, self.mesh.n_nodes))
         return full[:, self.free]
 
-    @functools.cached_property
-    def hat_t(self) -> np.ndarray:
-        """Trace hat functions at the top-edge quadrature points (E, 2, q)."""
-        on_node = self.top_edges[..., None] == self.trace.parent_nodes
-        return np.einsum("ga,eaj->egj", _EDGE_PHI, on_node.astype(float))
-
     def band_pairs(self, U: np.ndarray, V: np.ndarray) -> np.ndarray:
         """The flattened band p with p . band = sum_l V[:, l]^T A U[:, l] for
         free-node columns U, V (N, k): the column-summed symmetric pair
-        products on the diagonals K writes.  Since band = K c, KT @ p is the
-        sensitivity of that sum to the coefficients c of `_factor`."""
-        p = np.zeros((self.band_u + 1, self.free.size))
-        ones = np.ones(U.shape[1])  # `@ ones` sums the columns faster than np.sum
-        p[self.band_u] = (U * V) @ ones
+        products on the band's written diagonals.  Since band = F phi, FT @ p is the
+        sensitivity of that sum to the features phi of `assemble`."""
+        n, k = U.shape
+        p = np.zeros((self.band_u + 1, n))
+        ones = np.ones(k)  # `ones @` sums the columns faster than np.sum
+        # products of the columns laid end to end (the solves return them
+        # column-major), so every product is contiguous: entry l * n + i of
+        # buf pairs row i with row i + d of column l, and the last d entries
+        # of each column, which pair two columns, are dropped
+        u, v = U.ravel("F"), V.ravel("F")
+        buf = u * v
+        p[self.band_u] = ones @ buf.reshape(k, n)
         for d in self.offsets[1:]:
-            p[self.band_u - d, d:] = (U[:-d] * V[d:] + V[:-d] * U[d:]) @ ones
+            np.multiply(u[:-d], v[d:], out=buf[:-d])
+            buf[:-d] += v[:-d] * u[d:]
+            p[self.band_u - d, d:] = ones @ buf.reshape(k, n)[:, :n - d]
         return p.ravel()
 
     def _sorted_edges(self, edges: np.ndarray) -> np.ndarray:
@@ -202,10 +260,9 @@ def workspace(L: float, H: float, nx: int, ny: int) -> FemWorkspace:
 class AssembledSystem:
     """Reduced SPD system in upper banded storage (band[u + i - j, j] =
     A[i, j] for i <= j, free nodes in ws.free order) with its banded Cholesky
-    factor.  profile (f and df at the volume quadrature points, df at the
-    top-edge quadrature points) and robin (exp(beta) * w_g * len at the
-    top-edge quadrature points) are kept for the sensitivity kernel; the
-    deformed-domain system carries neither."""
+    factor.  profile (f and df at the abscissae ws.x1) and robin (exp(beta) *
+    w_g * len at the top-edge quadrature points, (E, 2)) are kept for the
+    sensitivities; the deformed-domain system carries neither."""
 
     band: np.ndarray
     chol: np.ndarray
@@ -214,7 +271,10 @@ class AssembledSystem:
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve for free-node right-hand sides rhs, (n_free,) or (n_free, k)."""
-        return la.cho_solve_banded((self.chol, False), rhs)
+        x, info = dpbtrs(self.chol, rhs)
+        if info != 0:
+            raise SolverError(f"banded triangular solve failed (info {info})")
+        return x
 
 
 @dataclass
@@ -224,22 +284,24 @@ class ForwardState:
     y: np.ndarray  # sensor values, load-major: length n_loads * n_sensors
 
 
-def _factor(ws: FemWorkspace, S11, S12, S22, wq):
-    """Assemble and factor the reduced system: the one assembly path.
+def _factor(ws: FemWorkspace, band: np.ndarray):
+    """Factor the reduced system: the one factorization path.
 
-    S11, S12, S22 are the per-triangle integrals (T,) of the conductivity
-    entries, wq the Robin weights at the top-edge quadrature points (E, 2),
-    which ws.K maps to the band.  Returns (band, chol), the upper banded
-    system and its Cholesky factor.
+    band is the flattened upper band, ws.F @ phi from `assemble` or K @ c
+    from `solve_deformed`, with K = ws.coefficient_operator(), with c = [S11, S12, S22, wq] the per-triangle
+    integrals (T,) of the conductivity entries and the Robin weights at the
+    top-edge quadrature points (E, 2).  Returns (band, chol), the upper
+    banded system and its Cholesky factor.
     """
-    c = np.concatenate([S11, S12, S22, np.ravel(wq)])
-    band = (ws.K @ c).reshape(ws.band_u + 1, ws.free.size)
-    try:
-        chol = la.cholesky_banded(band)
-    except ValueError as exc:
-        # non-finite entries (an overflowed exp(beta)), or LinAlgError, a
-        # ValueError subclass: the system is not positive definite
-        raise SolverError(f"banded Cholesky factorization failed: {exc}") from exc
+    band = band.reshape(ws.band_u + 1, ws.free.size)
+    # LAPACK accepts an infinite diagonal (an overflowed exp(beta)) and
+    # returns a factor with it, so non-finite entries are rejected first
+    if not np.isfinite(band).all():
+        raise SolverError("banded Cholesky factorization failed: non-finite system entries")
+    chol, info = dpbtrf(band)
+    if info != 0:
+        raise SolverError(f"banded Cholesky factorization failed: leading minor {info} "
+                          "is not positive definite")
     return band, chol
 
 
@@ -248,7 +310,8 @@ def assemble(ws: FemWorkspace, profile, beta: np.ndarray) -> AssembledSystem:
 
     profile is (f, df/dx1) at the abscissae ws.x1, and f must be finite and
     positive at every one of them; beta holds nodal log-admittance values on
-    the workspace's top trace.
+    the workspace's top trace.  The band is one product of the fused
+    operator ws.F with the features [f, df, 1/f, df^2/f, wq].
     """
     beta = np.asarray(beta, dtype=float)
     if beta.shape != (ws.trace.n_nodes,):
@@ -259,17 +322,11 @@ def assemble(ws: FemWorkspace, profile, beta: np.ndarray) -> AssembledSystem:
     if not np.all(np.isfinite(f) & (f > 0.0)):
         raise InvalidShapeError("height profile f is not finite and positive "
                                 "at the quadrature abscissae")
-    f_vol, df_vol, df_top = f[ws.vol_at], df[ws.vol_at], df[ws.top_at]
-    s11, s12, s22 = pushforward_entries_from(f_vol, df_vol, ws.quad_pts[..., 1])
-
-    # per-triangle integrals; `@ ones` sums the 3 points faster than np.sum
-    S11, S12, S22 = ws.areas / 3.0 * (np.stack([s11, s12, s22]) @ np.ones(3))
-    coeff = np.exp(np.interp(ws.top_squad, ws.trace.s, beta))
-    lw = _EDGE_W[None, :] * ws.top_len[:, None]
-    band, chol = _factor(ws, S11, S12, S22,
-                         coeff * admittance_factor_from(df_top, ws.mesh.H) * lw)
-    return AssembledSystem(band=band, chol=chol,
-                           profile=(f_vol, df_vol, df_top), robin=coeff * lw)
+    inv_f = 1.0 / f
+    robin = np.exp(ws.top_interp @ beta).reshape(ws.top_lw.shape) * ws.top_lw
+    wq = robin * admittance_factor_from(df[ws.top_at], ws.mesh.H)
+    band, chol = _factor(ws, ws.F @ np.concatenate([f, df, inv_f, df * df * inv_f, wq.ravel()]))
+    return AssembledSystem(band=band, chol=chol, profile=(f, df), robin=robin)
 
 
 def neumann_load(ws: FemWorkspace, k: int) -> np.ndarray:
@@ -332,6 +389,7 @@ def solve_deformed(mesh: SlabMesh, shape, beta: np.ndarray, n_loads: int,
     # the deformed trace keeps the reference x1 parameterisation of beta
     wq = np.exp(np.interp(ws.top_squad, ws.trace.s, np.asarray(beta, dtype=float))) * (
         _EDGE_W[None, :] * lengths[:, None])
-    band, chol = _factor(ws, ws.areas, np.zeros_like(ws.areas), ws.areas, wq)
+    c = np.concatenate([ws.areas, np.zeros_like(ws.areas), ws.areas, wq.ravel()])
+    band, chol = _factor(ws, ws.coefficient_operator() @ c)
     return forward(AssembledSystem(band=band, chol=chol), all_loads(ws, n_loads),
                    bottom_interpolator(ws, sensor_x1))

@@ -6,10 +6,12 @@ evaluation are shared by the forward and adjoint solves.  The gradient and
 the Jacobian pull products of forward and adjoint solutions back through the
 derivative of the system matrix by two independent reductions:
 
-- the gradient is the discrete adjoint of the assembly: each load's solution
-  times its residual adjoint, summed over loads on the band of the system,
-  goes back to the assembly coefficients through the transpose of
-  `FemWorkspace.K` and from there to the parameters;
+- the gradient is the exact transpose of the assembly: each load's
+  solution times its residual adjoint, summed over loads on the band of the
+  system, goes back to the assembly features [f, df, 1/f, df^2/f, wq]
+  through the transpose of the fused operator `FemWorkspace.F`, then by the
+  chain rule to the profile on the slab's abscissae, where the Fourier basis
+  is cached, and through the interpolation of beta to the top-edge points;
 - the Jacobian folds each load's solution into the derivative of the
   assembly coefficients on the elements, as (n_alpha, 2, T) with the
   triangle axis innermost on the volume and (2E, n) on the top edge, and
@@ -18,14 +20,14 @@ derivative of the system matrix by two independent reductions:
   744) in two GEMMs per load.
 
 The gradient has one load-summed pair, the Jacobian 32 pairs per load.  On a
-2-core VM with one BLAS thread the band transpose took the desk gradient
+2-core VM with one BLAS thread a band transpose took the desk gradient
 from 0.73-1.04 ms to 0.45-0.68 ms, but a desk Jacobian through it (256 band
 vectors) took 16 ms against 5-7 ms on the elements.  So each keeps its
 own reduction, and the gradient/Jacobian agreement check (acceptance
 criterion 3) compares two independent ones.  The shape reaches both only as
-the profile (f, df) kept by the assembly: the pointwise derivatives of the
-tensor and the admittance factor in (f, df) are pulled back to the Fourier
-coefficients through the basis cached at the slab's abscissae.
+the profile (f, df) on the abscissae kept by the assembly; the Jacobian
+gathers it onto the quadrature points and pulls the pointwise derivatives of
+the tensor and the admittance factor back through the basis gathered there.
 
 `Problem` works on a shared per-mesh `fem.FemWorkspace` and keeps its last
 evaluation of the potential, keyed by a copy of the parameter vector: the
@@ -82,21 +84,25 @@ class Problem:
         self.inv_noise_var = 1.0 / self.noise_std ** 2
         self.sensor_x1 = np.asarray(sensor_x1, dtype=float)
         self.n_loads = int(n_loads)
-        self.B = fem.bottom_interpolator(self.ws, self.sensor_x1)
-        self.BT = self.B.T.tocsr()
+        # the sensor operator and its transpose dense: with two entries per
+        # sensor a dense product still costs less than sparse dispatch.  BT,
+        # a column-major view, is also the Jacobian's sensor right-hand sides
+        self.B = fem.bottom_interpolator(self.ws, self.sensor_x1).toarray()
+        self.BT = self.B.T
         self.m_obs = self.sensor_x1.size * self.n_loads
         if self.data.shape != (self.m_obs,):
             raise ValueError("data length does not match sensors x loads")
         self.loads = fem.all_loads(self.ws, self.n_loads)
         # Fourier basis cached at the distinct quadrature abscissae, so each
         # evaluation of f and df reduces to a matrix-vector product; Vq, dVq
-        # and dVt are its gathers onto the volume and top-edge points
+        # and dVt are its gathers onto the volume and top-edge points, for
+        # the Jacobian's element fold
         self.Vx, self.dVx = fourier_basis(p, self.mesh.L, self.ws.x1)
         self.Vq, self.dVq = self.Vx[self.ws.vol_at], self.dVx[self.ws.vol_at]
         self.dVt = self.dVx[self.ws.top_at]
-        # shape-independent pieces of the volume alpha-derivative sums:
-        # the s11 derivative is the basis itself and the s12 derivative is
-        # -x2 * basis', so their quadrature-weighted sums are constant
+        # shape-independent pieces of the Jacobian's volume alpha-derivative
+        # sums: the s11 derivative is the basis itself and the s12 derivative
+        # is -x2 * basis', so their quadrature-weighted sums are constant
         x2q = self.ws.quad_pts[..., 1]
         self.wg = np.broadcast_to(self.ws.areas[:, None] / 3.0, x2q.shape)
         self.D11t = np.einsum("tg,tgi->it", self.wg, self.Vq, order="C")
@@ -154,32 +160,32 @@ class Problem:
         """Full gradient of J: sum_l v_l^T (dA/dm) u_l over the forward
         solutions u_l and their residual adjoints v_l, plus the prior.
 
-        The discrete adjoint of `fem._factor`: the load-summed pair products
-        on the band, mapped to the coefficients c = [S11, S12, S22, wq] by the
-        transpose of the assembly operator, then pulled back to the
-        parameters.  The s22 and Robin sensitivities are first reduced onto
-        the distinct abscissae ws.x1, where the Fourier basis is cached."""
+        The exact transpose of `fem.assemble`: the load-summed pair products
+        on the band, mapped to the features [f, df, 1/f, df^2/f, wq] by the
+        transpose of the fused operator, then the chain rule on the
+        abscissae ws.x1, where the Fourier basis is cached, and through the
+        interpolation of beta onto the top-edge points."""
         ev = self.potential(m)
         if not np.isfinite(ev.J):
             raise InvalidShapeError("cannot differentiate at an invalid shape")
         system, ws = ev.state.system, self.ws
         r = (self.data - ev.state.y).reshape(self.n_loads, -1)  # (loads, sensors)
         V = system.solve(self.inv_noise_var * (self.BT @ r.T))
-        z = ws.KT @ ws.band_pairs(ev.state.solutions, V)
-        T, nx = ws.areas.size, ws.x1.size
-        z22 = self.wg * z[2 * T:3 * T, None]
-        zq = system.robin * z[3 * T:].reshape(-1, 2)
-        f_vol, df_vol, df_top = system.profile
-        a, b = pushforward_alpha_entries_from(f_vol, df_vol, ws.quad_pts[..., 1])
-        slope = (np.bincount(ws.vol_at.ravel(), (z22 * b).ravel(), nx)
-                 + np.bincount(ws.top_at.ravel(), (zq * admittance_alpha_entries_from(
-                     df_top, self.mesh.H)).ravel(), nx))
-        g_alpha = (self.D11t @ z[:T] + self.D12t @ z[T:2 * T]
-                   + np.bincount(ws.vol_at.ravel(), (z22 * a).ravel(), nx) @ self.Vx
-                   + slope @ self.dVx)
-        g_beta = ((zq * admittance_factor_from(df_top, self.mesh.H)).ravel()
-                  @ ws.hat_t.reshape(-1, self.q))
-        return (np.concatenate([g_alpha, g_beta])
+        z = ws.FT @ ws.band_pairs(ev.state.solutions, V)
+        nx = ws.x1.size
+        z_f, z_df, z_inv, z_sq = z[:4 * nx].reshape(4, nx)
+        z_w = z[4 * nx:].reshape(ws.top_at.shape)
+        f, df = system.profile
+        inv_f = 1.0 / f
+        df_top = df[ws.top_at]
+        # sensitivities to f and df on the abscissae: the volume features
+        # f, df, 1/f and df^2/f, then wq = robin * admittance(df) at the
+        # top-edge points, each of which has an abscissa of its own
+        g_f = z_f - (z_inv + z_sq * df * df) * inv_f * inv_f
+        g_df = z_df + 2.0 * z_sq * df * inv_f
+        g_df[ws.top_at] += z_w * system.robin * admittance_alpha_entries_from(df_top, self.mesh.H)
+        g_beta = (z_w * system.robin * admittance_factor_from(df_top, self.mesh.H)).ravel()
+        return (np.concatenate([g_f @ self.Vx + g_df @ self.dVx, g_beta @ ws.top_interp])
                 + self.prior_precision @ (m - self.prior_mean))
 
     def potential_and_gradient(self, m: np.ndarray):
@@ -206,11 +212,12 @@ class Problem:
         if not np.isfinite(ev.J):
             raise InvalidShapeError("cannot linearize at an invalid shape")
         system = ev.state.system
-        W = system.solve(self.BT.toarray())  # (n_free, sensors)
+        W = system.solve(self.BT)  # (n_free, sensors)
         gu, tu = self._element_values(ev.state.solutions)
         gw, tw = self._element_values(W)
         K, S, T, na = gu.shape[1], gw.shape[1], self.ws.areas.size, self.n_alpha
-        f_vol, df_vol, df_top = system.profile
+        f, df = system.profile
+        f_vol, df_vol, df_top = f[self.ws.vol_at], df[self.ws.vol_at], df[self.ws.top_at]
         # volume part, alpha only: grad(w) . (dS/dalpha) grad(u).  s22
         # depends on alpha through f and df: ds22/dalpha = a * basis + b * basis'
         a, b = pushforward_alpha_entries_from(f_vol, df_vol, self.ws.quad_pts[..., 1])
@@ -220,7 +227,8 @@ class Problem:
         # in alpha through the factor and in beta through the trace hat functions
         D_top = np.concatenate([
             (system.robin * admittance_alpha_entries_from(df_top, self.mesh.H))[..., None] * self.dVt,
-            (system.robin * admittance_factor_from(df_top, self.mesh.H))[..., None] * self.ws.hat_t],
+            (system.robin * admittance_factor_from(df_top, self.mesh.H))[..., None]
+            * self.ws.top_interp.reshape(*df_top.shape, self.q)],
             axis=2).reshape(-1, self.n)
         # one load at a time, so that every temporary is one load's share
         # and the fold buffer is reused: fold[i, c] = (dS/dalpha_i) grad(u_k),

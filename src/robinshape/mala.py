@@ -52,12 +52,19 @@ class MalaSettings:
 
 @dataclass
 class ChainState:
+    """The current state with its potential and gradient.  w = C^T grad is
+    kept for the proposal factor w_chol = C it was computed with: the step
+    takes it from the accepted proposal's reverse term and recomputes it
+    only when refresh_proposal has replaced the factor."""
+
     m: np.ndarray
     J: float
     grad: np.ndarray
     n_steps: int = 0
     n_accepted: int = 0
     n_invalid: int = 0
+    w: np.ndarray | None = None
+    w_chol: np.ndarray | None = None
 
 
 @dataclass
@@ -106,10 +113,12 @@ def mala_step(state: ChainState, adapt_state: AdaptState, target, rng,
     |u - tau (w + C^T grad J(m'))|^2."""
     tau = adapt_state.tau
     C = adapt_state.chol_A
+    if state.w_chol is not C:
+        state.w, state.w_chol = C.T @ state.grad, C
     if xi is None:
         xi = rng.standard_normal(state.m.size)
     u = np.sqrt(2.0 * tau) * xi
-    step = u - tau * (C.T @ state.grad)
+    step = u - tau * state.w
     proposal = state.m + C @ step
 
     J_prop, grad_prop = target(proposal)
@@ -117,7 +126,8 @@ def mala_step(state: ChainState, adapt_state: AdaptState, target, rng,
     log_ratio = math.nan
     if math.isfinite(J_prop) and grad_prop is not None:
         # a non-finite gradient makes the reverse term and the ratio non-finite
-        r = step - tau * (C.T @ grad_prop)
+        w_prop = C.T @ grad_prop
+        r = step - tau * w_prop
         log_ratio = state.J - J_prop - (float(r @ r) - float(u @ u)) / (4.0 * tau)
     # a NaN ratio would give min(1.0, nan) == 1.0 and push the step size up
     if not math.isfinite(log_ratio):
@@ -129,6 +139,7 @@ def mala_step(state: ChainState, adapt_state: AdaptState, target, rng,
         state.m = proposal
         state.J = J_prop
         state.grad = grad_prop
+        state.w = w_prop
         state.n_accepted += 1
     return accept_prob
 

@@ -3,7 +3,8 @@ import pytest
 import scipy.sparse as sp
 
 from robinshape import fem
-from robinshape.geometry import BoundaryShape, InvalidShapeError
+from robinshape.geometry import (BoundaryShape, InvalidShapeError,
+                                 admittance_factor_from, pushforward_entries_from)
 from robinshape.mesh import build_slab_mesh, trace_of_top
 
 
@@ -95,7 +96,7 @@ def test_column_major_bandwidth(nx, ny, band_u):
 @pytest.mark.parametrize("nx, ny", [(12, 3), (77, 7)])
 def test_band_operator_matches_local_scatter(nx, ny, rng):
     # reference: per-element local matrices scattered into the upper band
-    # with bincount, the assembly that ws.K replaces
+    # with bincount, the assembly that the coefficient operator replaces
     mesh = build_slab_mesh(1.0, 0.05, nx, ny)
     ws = fem.FemWorkspace(mesh)
     T, E = mesh.triangles.shape[0], ws.top_edges.shape[0]
@@ -120,22 +121,15 @@ def test_band_operator_matches_local_scatter(nx, ny, rng):
     ref = np.bincount(((ws.band_u + r - c) * n + c)[keep],
                       weights=np.concatenate([k_loc.ravel(), m_loc.ravel()])[keep],
                       minlength=(ws.band_u + 1) * n)
-    band = ws.K @ np.concatenate([S11, S12, S22, wq.ravel()])
+    band = ws.coefficient_operator() @ np.concatenate([S11, S12, S22, wq.ravel()])
     assert np.max(np.abs(band - ref)) <= 1e-14 * np.max(np.abs(ref))
-    assert np.array_equal(fem._factor(ws, S11, S12, S22, wq)[0].ravel(), band)
 
 
-@pytest.mark.parametrize("nx, ny", [(77, 7), (229, 10)])
-def test_band_transpose_matches_element_products(nx, ny, rng):
-    # the gradient's discrete adjoint: KT @ band_pairs(U, V) against the
-    # per-element products of the columns of U and V, summed over columns
-    mesh = build_slab_mesh(1.0, 0.05, nx, ny)
-    ws = fem.FemWorkspace(mesh)
-    assert sorted(ws.offsets) == [0, 1, ny + 1, ny + 2]
-    n, k = ws.free.size, 5
-    U, V = rng.standard_normal((2, n, k))
-    z = ws.KT @ ws.band_pairs(U, V)
-
+def element_products(ws, U, V):
+    """Per-element products of the free-node columns of U and V, summed over
+    columns, one per coefficient [S11, S12, S22, wq] of the band; with the
+    full-node gradient (T, 2, k) and top-edge point value (E, 2, k) maps."""
+    mesh, k = ws.mesh, U.shape[1]
     Uf, Vf = np.zeros((2, mesh.n_nodes, k))
     Uf[ws.free], Vf[ws.free] = U, V
     grad = lambda X: np.einsum("tad,tak->tdk", ws.grads, X[mesh.triangles])
@@ -146,30 +140,88 @@ def test_band_transpose_matches_element_products(nx, ny, rng):
         np.sum(gu[:, 0] * gv[:, 1] + gu[:, 1] * gv[:, 0], axis=1),
         np.sum(gu[:, 1] * gv[:, 1], axis=1),
         np.sum(top(Uf) * top(Vf), axis=2).ravel()])
+    return ref, grad(Uf), top(Uf)
+
+
+def random_profile(ws, rng):
+    """Random (f, df) at the abscissae ws.x1, f positive, with a random beta."""
+    f = rng.uniform(0.5, 1.5, ws.x1.size)
+    df = rng.standard_normal(ws.x1.size)
+    return (f, df), rng.standard_normal(ws.trace.n_nodes)
+
+
+@pytest.mark.parametrize("nx, ny", [(77, 7), (229, 10)])
+def test_band_transpose_matches_element_products(nx, ny, rng):
+    # the coefficient-level adjoint: K^T @ band_pairs(U, V) against the
+    # per-element products of the columns of U and V, summed over columns
+    mesh = build_slab_mesh(1.0, 0.05, nx, ny)
+    ws = fem.FemWorkspace(mesh)
+    assert sorted(ws.offsets) == [0, 1, ny + 1, ny + 2]
+    n, k = ws.free.size, 5
+    U, V = rng.standard_normal((2, n, k))
+    z = ws.coefficient_operator().T @ ws.band_pairs(U, V)
+
+    ref, gu, tu = element_products(ws, U, V)
     assert np.max(np.abs(z - ref)) <= 1e-12 * np.max(np.abs(ref))
     # the free-node element operators against the same full-node references
-    for got, want in ((ws.grad_op @ U, grad(Uf).transpose(1, 0, 2)), (ws.top_op @ U, top(Uf))):
+    for got, want in ((ws.grad_op @ U, gu.transpose(1, 0, 2)), (ws.top_op @ U, tu)):
         assert np.max(np.abs(got - want.reshape(got.shape))) <= 1e-14 * np.max(np.abs(want))
 
-    # sum_l v_l^T A u_l == c . (KT @ p) on an assembled system
+    # sum_l v_l^T A u_l == c . (K^T @ p) on an assembled system
     T, E = mesh.triangles.shape[0], ws.top_edges.shape[0]
     S11, S22 = rng.uniform(0.5, 2.0, (2, T)) * ws.areas
     S12 = rng.uniform(-0.4, 0.4, T) * ws.areas
     wq = rng.uniform(0.0, 1.0, (E, 2))
-    band, _ = fem._factor(ws, S11, S12, S22, wq)
+    c = np.concatenate([S11, S12, S22, wq.ravel()])
+    band, _ = fem._factor(ws, ws.coefficient_operator() @ c)
     upper = sp.diags([band[ws.band_u - d, d:] for d in range(ws.band_u + 1)],
                      range(ws.band_u + 1))
     A = upper + sp.triu(upper, 1).T
     vAu = np.sum(V * (A @ U))
-    c = np.concatenate([S11, S12, S22, wq.ravel()])
     assert abs(c @ z - vAu) <= 1e-12 * np.sum(np.abs(V * (A @ U)))
+
+
+@pytest.mark.parametrize("nx, ny", [(77, 7), (229, 10)])
+def test_fused_band_matches_coefficient_path(nx, ny, rng):
+    # assemble's one product ws.F @ phi against K @ c, with the coefficients
+    # c integrated from the tensor entries at the volume quadrature points
+    ws = fem.FemWorkspace(build_slab_mesh(1.0, 0.05, nx, ny))
+    K = ws.coefficient_operator()
+    for _ in range(3):
+        (f, df), beta = random_profile(ws, rng)
+        x2 = ws.quad_pts[..., 1]
+        s11, s12, s22 = pushforward_entries_from(f[ws.vol_at], df[ws.vol_at], x2)
+        S11, S12, S22 = (ws.areas / 3.0 * np.sum(s, axis=1) for s in (s11, s12, s22))
+        wq = (np.exp(np.interp(ws.top_squad, ws.trace.s, beta)) * ws.top_lw
+              * admittance_factor_from(df[ws.top_at], ws.mesh.H))
+        ref = K @ np.concatenate([S11, S12, S22, wq.ravel()])
+        band = fem.assemble(ws, (f, df), beta).band.ravel()
+        assert np.max(np.abs(band - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("nx, ny", [(77, 7), (229, 10)])
+def test_fused_transpose_matches_element_products(nx, ny, rng):
+    # the gradient's exact transpose: FT @ band_pairs(U, V) against the
+    # element products pulled back through the quadrature to the features
+    # [f, df, 1/f, df^2/f] at the abscissae and the Robin weights wq
+    ws = fem.FemWorkspace(build_slab_mesh(1.0, 0.05, nx, ny))
+    U, V = rng.standard_normal((2, ws.free.size, 5))
+    z = ws.FT @ ws.band_pairs(U, V)
+    ref, _, _ = element_products(ws, U, V)
+    T, nx1 = ws.areas.size, ws.x1.size
+    w, x2 = ws.areas[:, None] / 3.0 * np.ones(3), ws.quad_pts[..., 1]
+    z11, z12, z22 = ref[:T, None], ref[T:2 * T, None], ref[2 * T:3 * T, None]
+    at = ws.vol_at.ravel()
+    want = np.concatenate([np.bincount(at, (w * v).ravel(), nx1)
+                           for v in (z11, -x2 * z12, z22, x2 ** 2 * z22)] + [ref[3 * T:]])
+    assert np.max(np.abs(z - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_indefinite_system_raises_solver_error():
     ws = fem.FemWorkspace(build_slab_mesh(1.0, 0.05, 12, 3))
-    wq = np.zeros_like(ws.top_squad)
+    c = np.concatenate([-ws.areas, 0 * ws.areas, -ws.areas, np.zeros(ws.top_squad.size)])
     with pytest.raises(fem.SolverError):
-        fem._factor(ws, -ws.areas, 0 * ws.areas, -ws.areas, wq)
+        fem._factor(ws, ws.coefficient_operator() @ c)
 
 
 def test_assemble_precomputed_evaluations_match():

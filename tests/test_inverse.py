@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from robinshape import fem, geometry, inverse
 from robinshape.geometry import InvalidShapeError
 
 from conftest import random_valid_parameters, self_consistent_problem, small_problem
@@ -198,3 +199,30 @@ def test_overflowed_robin_coefficient_is_rejected():
     assert prob.potential(m).J == np.inf
     assert prob.potential_and_gradient(m) == (np.inf, None)
     assert prob.linearize(m)[0] == np.inf
+
+
+def test_target_goes_through_the_traced_entry_points(rng, monkeypatch):
+    # perfbench/tracer.py counts assemblies and solved columns by wrapping
+    # fem.assemble and AssembledSystem.solve, and wraps the partials below
+    # by their module attribute names
+    prob = desk_problem()
+    m = random_valid_parameters(prob, rng)
+    assembled, solved = [], []
+    orig_assemble, orig_solve = fem.assemble, fem.AssembledSystem.solve
+
+    def assemble(*args):
+        assembled.append(1)
+        return orig_assemble(*args)
+
+    def solve(self, rhs):
+        solved.append(rhs.shape[1])
+        return orig_solve(self, rhs)
+
+    monkeypatch.setattr(fem, "assemble", assemble)
+    monkeypatch.setattr(fem.AssembledSystem, "solve", solve)
+    J, g = prob.potential_and_gradient(m)
+    assert np.isfinite(J) and g.shape == (prob.n,)
+    assert assembled == [1] and solved == [8, 8]
+    assert fem.pushforward_entries_from is geometry.pushforward_entries_from
+    assert inverse.pushforward_alpha_entries_from is geometry.pushforward_alpha_entries_from
+    assert inverse.admittance_alpha_entries_from is geometry.admittance_alpha_entries_from

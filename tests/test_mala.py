@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from conftest import LinearGaussianProblem
 from robinshape.mala import (_T_OFFSET, ChainState, MalaSettings, adapt,
                              gelman_rubin, make_adapt_state, mala_step,
                              mcse_batch_means, mcse_halfwidth, run_chain,
@@ -290,3 +293,63 @@ def test_run_chain_rejects_invalid_start():
 
     with pytest.raises(ValueError):
         run_chain(np.zeros(2), np.eye(2), target, np.random.default_rng(0))
+
+
+def recomputing_step(state, adapt_state, target, rng):
+    """mala_step's formulas with C^T grad J(m) recomputed at every step
+    instead of kept in the chain state."""
+    tau = adapt_state.tau
+    C = adapt_state.chol_A
+    xi = rng.standard_normal(state.m.size)
+    u = np.sqrt(2.0 * tau) * xi
+    step = u - tau * (C.T @ state.grad)
+    proposal = state.m + C @ step
+    J_prop, grad_prop = target(proposal)
+    state.n_steps += 1
+    log_ratio = math.nan
+    if math.isfinite(J_prop) and grad_prop is not None:
+        r = step - tau * (C.T @ grad_prop)
+        log_ratio = state.J - J_prop - (float(r @ r) - float(u @ u)) / (4.0 * tau)
+    if not math.isfinite(log_ratio):
+        state.n_invalid += 1
+        return 0.0
+    accept_prob = float(min(1.0, np.exp(min(log_ratio, 0.0))))
+    if np.log(rng.uniform()) < log_ratio:
+        state.m, state.J, state.grad = proposal, J_prop, grad_prop
+        state.n_accepted += 1
+    return accept_prob
+
+
+def test_kept_whitened_gradient_matches_recomputed_step():
+    # keeping w = C^T grad J(m) from the accepted proposal, and recomputing
+    # it only after a refresh has replaced C, gives bitwise the chain of a
+    # step that recomputes it at every step
+    rng = np.random.default_rng(21)
+    n = 93
+    prob = LinearGaussianProblem(G=rng.standard_normal((120, n)), data=rng.standard_normal(120),
+                                 noise_std=2.0, prior_mean=np.zeros(n),
+                                 prior_precision=np.eye(n))
+
+    def target(m):
+        grad = (prob.inv_noise_var * (prob.G.T @ (prob.G @ m - prob.data))
+                + prob.prior_precision @ (m - prob.prior_mean))
+        return prob.potential_value(m), grad
+
+    settings = MalaSettings(refresh_every=7, tau_init=0.01)
+    runs = []
+    for step in (mala_step, recomputing_step):
+        chain_rng = np.random.default_rng(5)
+        ad = make_adapt_state(np.eye(n) / n, np.zeros(n), settings)
+        state = fresh_state(np.zeros(n), target)
+        trace = []
+        for _ in range(300):
+            ap = step(state, ad, target, chain_rng)
+            adapt(ad, state.m, ap)
+            trace.append((ap, state.m.copy(), state.J, ad.chol_A.copy()))
+        runs.append((trace, (state.n_steps, state.n_accepted, state.n_invalid)))
+    (kept, counts), (recomputed, counts_ref) = runs
+    assert counts == counts_ref
+    assert 30 < counts[1] < 270  # both accepts and rejects, across 42 refreshes
+    for (ap, m, J, chol), (ap_ref, m_ref, J_ref, chol_ref) in zip(kept, recomputed):
+        assert ap == ap_ref and J == J_ref
+        assert np.array_equal(m, m_ref) and np.array_equal(chol, chol_ref)
