@@ -14,7 +14,6 @@ import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from . import fem, mala, optimize
 from .geometry import InvalidShapeError, SampledProfile, fourier_basis
@@ -399,7 +398,7 @@ def run_mcmc(config: ExperimentConfig, dataset: SyntheticDataset,
     cm = output.samples.mean(axis=0)
     std = output.samples.std(axis=0, ddof=1)
     hw = mala.mcse_halfwidth(output.samples)
-    skew_beta = stats.skew(output.samples[:, problem.n_alpha:], axis=0)
+    skew_beta = mala.skewness(output.samples[:, problem.n_alpha:])
 
     # pointwise credible envelopes for the boundary height and Robin field
     vals, _ = fourier_basis(problem.p, problem.mesh.L, problem.trace.s)

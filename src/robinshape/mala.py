@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
-from scipy import stats
+from scipy.special import stdtrit
 
 
 # weight offset of the adaptation: keeps the early gamma small so the
@@ -201,8 +201,22 @@ def mcse_halfwidth(samples: np.ndarray) -> np.ndarray:
     confidence c = _CONFIDENCE."""
     n = samples.shape[0]
     n_b = int(np.floor(np.sqrt(n)))
-    tcrit = stats.t.ppf(1.0 - (1.0 - _CONFIDENCE) / 2.0, n_b - 1)
+    # stdtrit(df, q) is the Student-t quantile that scipy.stats.t.ppf calls
+    tcrit = stdtrit(n_b - 1, 1.0 - (1.0 - _CONFIDENCE) / 2.0)
     return tcrit * mcse_batch_means(samples)
+
+
+def skewness(samples: np.ndarray) -> np.ndarray:
+    """Biased sample skewness m3 / m2^1.5 per coordinate, NaN where the
+    coordinate is constant to rounding: the arithmetic of scipy.stats.skew,
+    written out so that the library does not import scipy.stats."""
+    mean = samples.mean(axis=0)
+    d = samples - mean
+    m2 = (d ** 2).mean(axis=0)
+    m3 = (d ** 2 * d).mean(axis=0)
+    with np.errstate(all="ignore"):
+        zero = m2 <= (np.finfo(m2.dtype).eps * mean) ** 2
+        return np.where(zero, np.nan, m3 / m2 ** 1.5)
 
 
 def stopping_rule(samples: np.ndarray, threshold: float) -> bool:

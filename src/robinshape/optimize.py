@@ -107,7 +107,7 @@ def gauss_newton(problem, m0: np.ndarray,
             report.reason = "iteration cap"
             break
 
-        delta = sla.solve(H, -grad, assume_a="pos")
+        delta = sla.cho_solve(sla.cho_factor(H), -grad)
         slope = float(grad @ delta)
         if -slope <= _STATIONARY_TOL * (1.0 + abs(J)):
             report.reason = "stationary point"

@@ -405,6 +405,20 @@ def test_chain_csv_values_roundtrip(small_pipeline):
     assert set(np.unique(payload[:, -1])).issubset({0.0, 1.0})
 
 
+def test_desk_beta_skewness_matches_scipy_stats_skew(tmp_path):
+    # scipy.stats stays out of the library; it is the oracle here
+    from scipy import stats
+    cfg = ExperimentConfig.from_dict({
+        "seed": 1, "output_dir": str(tmp_path),
+        "mala": {"burn_in": 0, "max_steps": 300, "check_interval": 300}})
+    ds = generate_data(cfg)
+    mc = run_mcmc(cfg, ds, run_map(cfg, ds))
+    # the desk problem's 93 coordinates: 15 for alpha, then 78 for beta
+    expected = stats.skew(mc.chain.samples[:, 15:], axis=0)
+    assert len(expected) == 78
+    assert np.array(mc.summary["beta_skewness"]).tobytes() == expected.tobytes()
+
+
 def test_run_mcmc_reports_invalid_proposals(small_pipeline, tmp_path, monkeypatch):
     cfg, ds, map_result = small_pipeline
     cfg = dataclasses.replace(cfg, output_dir=str(tmp_path))
@@ -528,6 +542,17 @@ def test_cli_invalid_config_exit_code(tmp_path):
         json.dump({"n_loads": 4, "bogus_key": True}, fh)
     assert cli.main(["generate-data", "--config", bad]) == 1
     assert cli.main(["generate-data", "--config", str(tmp_path / "nope.json")]) == 1
+
+
+def test_cli_output_dir_under_a_file_exits_1(tmp_path, capsys):
+    # an output_dir below a regular file is an OSError other than
+    # FileNotFoundError: exit 1 with a message, no traceback
+    (tmp_path / "afile").write_text("")
+    path, _ = write_config(tmp_path, output_dir=str(tmp_path / "afile" / "out"))
+    for command in ("generate-data", "map"):
+        assert cli.main([command, "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Not a directory" in err
 
 
 def test_cli_diagnose(tmp_path, capsys):

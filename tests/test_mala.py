@@ -1,14 +1,16 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from scipy import stats
 
 from conftest import LinearGaussianProblem
 from robinshape.mala import (_T_OFFSET, ChainState, MalaSettings, adapt,
                              gelman_rubin, make_adapt_state, mala_step,
                              mcse_batch_means, mcse_halfwidth, run_chain,
-                             stopping_rule)
+                             skewness, stopping_rule)
 
 
 def gaussian_target(mean, cov):
@@ -259,6 +261,30 @@ def test_stopping_rule_cases():
     assert not stopping_rule(drift, threshold=0.1)
     hw = mcse_halfwidth(iid)
     assert np.all(hw > 0) and hw.shape == (2,)
+
+
+@pytest.mark.parametrize("n", [100, 10_000, 85_000])
+def test_mcse_halfwidth_matches_scipy_stats_t(n):
+    # scipy.stats stays out of the library; it is the oracle here
+    samples = np.random.default_rng(n).standard_normal((n, 3)).cumsum(axis=0)
+    n_b = int(np.floor(np.sqrt(n)))
+    expected = stats.t.ppf(0.99, n_b - 1) * mcse_batch_means(samples)
+    assert mcse_halfwidth(samples).tobytes() == expected.tobytes()
+
+
+def test_skewness_matches_scipy_stats_skew():
+    rng = np.random.default_rng(11)
+    x = np.hstack([rng.gamma(2.0, size=(500, 3)), -rng.gamma(0.5, size=(500, 2)),
+                   rng.standard_normal((500, 2)) + 40.0,
+                   np.full((500, 1), 1.5), np.zeros((500, 1))])
+    with warnings.catch_warnings():
+        # scipy warns of catastrophic cancellation on the constant columns
+        warnings.simplefilter("ignore", RuntimeWarning)
+        expected = stats.skew(x, axis=0)
+    got = skewness(x)
+    assert got.tobytes() == expected.tobytes()
+    assert np.all(got[:3] > 0) and np.all(got[3:5] < 0)
+    assert np.isnan(got[-2:]).all()  # a constant column has no skewness
 
 
 def test_gelman_rubin_behaviour():
