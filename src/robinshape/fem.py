@@ -23,7 +23,10 @@ LAPACK.
 `forward` solves every load and reads the bottom-edge sensors out load-major;
 the data generator, the inverse problem and `solve_deformed` all go through it.
 `workspace` builds the workspace of a slab mesh once and shares it between
-the data generator and every inverse problem on that mesh.
+the data generator and every inverse problem on that mesh; what a
+configuration adds to a mesh, its loads and sensor operator here and the
+operators other modules keep through `FemWorkspace.memo`, is built once per
+workspace and shared read-only.
 
 The free nodes are the only vector space this module hands out: loads,
 solutions, the sensor operator and the element operators `grad_op` and
@@ -32,6 +35,7 @@ Dirichlet values are zero, so no caller ever needs the full nodal vector.
 """
 from __future__ import annotations
 
+import dataclasses
 import functools
 from dataclasses import dataclass
 
@@ -109,6 +113,33 @@ class FemWorkspace:
         self.vol_at = at[:n_vol].reshape(self.quad_pts.shape[:2])
         self.top_at = at[n_vol:].reshape(self.top_squad.shape)
         self.top_lw = _EDGE_W[None, :] * self.top_len[:, None]
+        self._memo = {}
+
+    def memo(self, key, build):
+        """build() for key, built on the first call and shared read-only
+        after it: every array it holds, directly, as a dataclass field or as
+        a sparse matrix's storage, is made unwriteable.  The entries live as long as the workspace, one
+        per distinct key, so `workspace`'s bound on meshes bounds them too."""
+        if key not in self._memo:
+            self._memo[key] = _frozen(build())
+        return self._memo[key]
+
+    def loads(self, n_loads: int) -> np.ndarray:
+        """The free-node loads of currents 1..n_loads (n_free, n_loads), built
+        once per workspace and shared read-only."""
+        return self.memo(("loads", n_loads), lambda: all_loads(self, n_loads))
+
+    def sensor_operator(self, sensor_x1, dense: bool = False):
+        """`bottom_interpolator` at sensor_x1, built once per workspace and
+        sensor layout and shared read-only.  The data generator reads its
+        fine-mesh sensors sparse; the inverse problem takes them dense, where
+        with two entries per sensor a dense product still costs less than
+        sparse dispatch, and the adjoint solve needs dense right-hand sides."""
+        x = np.asarray(sensor_x1, dtype=float)
+        if dense:
+            return self.memo(("dense sensors", x.shape, x.tobytes()),
+                             lambda: self.sensor_operator(x).toarray())
+        return self.memo(("sensors", x.shape, x.tobytes()), lambda: bottom_interpolator(self, x))
 
     def _local_pairs(self):
         """Free-node row and column (r, c) of every local matrix entry, the
@@ -245,6 +276,18 @@ class FemWorkspace:
         a, b = x1[edges[:, 0]], x1[edges[:, 1]]
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
         return mid[:, None] + half[:, None] * _EDGE_XI[None, :], b - a
+
+
+def _frozen(value):
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    elif sp.issparse(value):
+        for a in (value.data, value.indices, value.indptr):
+            a.flags.writeable = False
+    elif dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            _frozen(getattr(value, f.name))
+    return value
 
 
 @functools.lru_cache(maxsize=4)

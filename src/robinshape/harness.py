@@ -298,8 +298,8 @@ def generate_data(config: ExperimentConfig) -> SyntheticDataset:
 
     try:
         system = fem.assemble(ws, profile.eval(ws.x1), beta_true)
-        y0 = fem.forward(system, fem.all_loads(ws, config.n_loads),
-                         fem.bottom_interpolator(ws, config.sensor_x1())).y
+        y0 = fem.forward(system, ws.loads(config.n_loads),
+                         ws.sensor_operator(config.sensor_x1())).y
     except (InvalidShapeError, fem.SolverError) as exc:
         raise ConfigError(f"truth profile {config.truth_profile!r}: {exc}") from exc
 
@@ -318,8 +318,10 @@ def generate_data(config: ExperimentConfig) -> SyntheticDataset:
 
 def build_problem(config: ExperimentConfig, dataset: SyntheticDataset) -> Problem:
     ws = fem.workspace(config.L, config.H, config.inversion_mesh.nx, config.inversion_mesh.ny)
-    prior = joint_prior(build_alpha_prior(config.p, config.sigma_alpha2, config.s_alpha),
-                        build_beta_prior(ws.trace, config.delta_beta2, config.corr_l))
+    settings = (config.p, config.sigma_alpha2, config.s_alpha, config.delta_beta2, config.corr_l)
+    prior = ws.memo(("prior", *settings), lambda: joint_prior(
+        build_alpha_prior(config.p, config.sigma_alpha2, config.s_alpha),
+        build_beta_prior(ws.trace, config.delta_beta2, config.corr_l)))
     return Problem(ws=ws, p=config.p, prior=prior, data=dataset.y,
                    noise_std=dataset.delta_e, sensor_x1=dataset.sensor_x1,
                    n_loads=dataset.n_loads)

@@ -13,6 +13,7 @@ from robinshape.harness import (ConfigError, ExperimentConfig, MeshSpec,
                                 truth_profiles)
 from robinshape.inverse import Problem
 from robinshape.mesh import build_slab_mesh
+from robinshape.priors import build_alpha_prior, build_beta_prior, joint_prior
 
 
 def small_config(tmp_path, **overrides):
@@ -570,3 +571,72 @@ def test_cli_diagnose(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["n_chains"] == 2 and len(out["gelman_rubin"]) == 2
     assert all(r < 1.05 for r in out["gelman_rubin"])
+
+
+# -- operators shared by the problems of one configuration -------------------
+
+def shared_operators(prob: Problem) -> dict:
+    return {"B": prob.B, "loads": prob.loads, "basis": prob.basis, "prior": prob.prior}
+
+
+def test_shared_operators_are_read_only(tmp_path):
+    cfg = small_config(tmp_path)
+    prob = build_problem(cfg, generate_data(cfg))
+    fine = fem.workspace(cfg.L, cfg.H, cfg.fine_mesh.nx, cfg.fine_mesh.ny)
+    arrays = [prob.B, prob.BT, prob.loads, prob.prior_mean, prob.prior_precision,
+              prob.prior.chol_precision, fine.loads(cfg.n_loads),
+              fine.sensor_operator(cfg.sensor_x1()).data]
+    arrays += [getattr(prob.basis, f.name) for f in dataclasses.fields(prob.basis)]
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a[(0,) * a.ndim] += 1
+        with pytest.raises(ValueError):
+            np.multiply(a, 2, out=a)
+
+
+def test_configurations_share_only_equal_operators(tmp_path):
+    cfg = small_config(tmp_path)
+    base = build_problem(cfg, generate_data(cfg))
+    again = build_problem(cfg, generate_data(dataclasses.replace(cfg, seed=4)))
+    assert all(a is b for a, b in zip(shared_operators(again).values(),
+                                      shared_operators(base).values()))
+    own = {"p": ("basis", "prior"), "n_sensors": ("B",), "n_loads": ("loads",),
+           "sigma_alpha2": ("prior",), "s_alpha": ("prior",), "delta_beta2": ("prior",),
+           "corr_l": ("prior",)}
+    values = {"p": 2, "n_sensors": 12, "n_loads": 3, "sigma_alpha2": 0.02, "s_alpha": -2.0,
+              "delta_beta2": 40.0, "corr_l": 5.0}
+    for key, names in own.items():
+        c = dataclasses.replace(cfg, **{key: values[key]})
+        prob = build_problem(c, generate_data(c))
+        for name, op in shared_operators(prob).items():
+            assert (op is shared_operators(base)[name]) == (name not in names), (key, name)
+        # and each operator of its own is the one its settings build
+        ws = prob.ws
+        np.testing.assert_array_equal(prob.B, fem.bottom_interpolator(ws, c.sensor_x1()).toarray())
+        np.testing.assert_array_equal(prob.loads, fem.all_loads(ws, c.n_loads))
+        np.testing.assert_array_equal(prob.basis.Vx, fourier_basis(c.p, c.L, ws.x1)[0])
+        prior = joint_prior(build_alpha_prior(c.p, c.sigma_alpha2, c.s_alpha),
+                            build_beta_prior(ws.trace, c.delta_beta2, c.corr_l))
+        np.testing.assert_array_equal(prob.prior_precision, prior.precision)
+
+
+def test_run_map_after_other_cases_matches_cold_caches(tmp_path):
+    cfg = small_config(tmp_path, truth_profile="example3", seed=5)
+    others = [small_config(tmp_path, seed=6),
+              small_config(tmp_path, truth_profile="example2", seed=7, p=2),
+              small_config(tmp_path, seed=8, n_sensors=12, corr_l=5.0)]
+    fem.workspace.cache_clear()
+    try:
+        cold = run_map(cfg, generate_data(cfg))
+        for other in others:
+            run_map(other, generate_data(other))
+        warm = run_map(cfg, generate_data(cfg))
+    finally:
+        fem.workspace.cache_clear()
+    # the warm run reads the operators the cold run built and the others shared
+    assert all(a is b for a, b in zip(shared_operators(warm.problem).values(),
+                                      shared_operators(cold.problem).values()))
+    assert np.array_equal(cold.m_map, warm.m_map)
+    assert np.array_equal(cold.laplace.covariance, warm.laplace.covariance)
+    assert np.array_equal(cold.report.hessian, warm.report.hessian)
+    assert cold.report.to_dict() == warm.report.to_dict()

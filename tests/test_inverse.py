@@ -226,3 +226,35 @@ def test_target_goes_through_the_traced_entry_points(rng, monkeypatch):
     assert fem.pushforward_entries_from is geometry.pushforward_entries_from
     assert inverse.pushforward_alpha_entries_from is geometry.pushforward_alpha_entries_from
     assert inverse.admittance_alpha_entries_from is geometry.admittance_alpha_entries_from
+
+
+@pytest.mark.parametrize("nx, ny", [(77, 7), (229, 10)])
+def test_s22_sums_match_the_pointwise_einsum(nx, ny, rng):
+    # the sparse quadrature-sum product against the two einsums over the
+    # basis gathered onto the volume quadrature points
+    ws = fem.workspace(1.0, 0.05, nx, ny)
+    ops = inverse.fourier_operators(ws, 7)
+    shape = geometry.BoundaryShape(alpha=0.05 * rng.standard_normal(15), L=1.0, H=0.05)
+    f, df = shape.eval(ws.x1)
+    a, b = geometry.pushforward_alpha_entries_from(f[ws.vol_at], df[ws.vol_at],
+                                                   ws.quad_pts[..., 1])
+    ref = np.einsum("tg,tgi->it", ops.wg * a, ops.Vx[ws.vol_at], order="C")
+    ref += np.einsum("tg,tgi->it", ops.wg * b, ops.dVx[ws.vol_at], order="C")
+    D22 = ops.s22_sums(a, b)
+    assert D22.shape == ref.shape and D22.flags.c_contiguous
+    assert np.max(np.abs(D22 - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("nx, ny", [(77, 7), (229, 10)])
+def test_top_edge_rows_match_per_load_gemms(nx, ny, rng):
+    # one GEMM over every (load, sensor adjoint) pair against one GEMM per
+    # load, on the point values of real solutions and sensor adjoints
+    prob = small_problem(nx=nx, ny=ny, p=7, n_loads=8, n_sensors=32)
+    ev = prob.potential(random_valid_parameters(prob, rng))
+    tu = prob.ws.top_op @ ev.state.solutions
+    tw = prob.ws.top_op @ ev.state.system.solve(prob.BT)
+    D_top = rng.standard_normal((tu.shape[0], prob.n))
+    ref = np.stack([tw.T @ (tu[:, k, None] * D_top) for k in range(tu.shape[1])])
+    rows = inverse.top_edge_rows(tu, tw, D_top)
+    assert rows.shape == (8, 32, prob.n)
+    assert np.max(np.abs(rows - ref)) <= 1e-14 * np.max(np.abs(ref))
