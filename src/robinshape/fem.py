@@ -13,20 +13,21 @@ tensor-product mesh, so its volume and top-edge quadrature points share a few
 hundred x1 values.  The push-forward tensor is linear in the features
 [f, df, 1/f, df^2/f] at those abscissae, so `assemble` is one product of the
 features and the top-edge Robin weights with the fused per-mesh operator
-`FemWorkspace.F`, which composes the volume quadrature with the
-coefficient-to-band operator K (`FemWorkspace.coefficient_operator`); its
-transpose `FT` is the exact adjoint the gradient uses.  The verification
-path `solve_deformed` (isotropic operator on the stretched mesh, chord
-lengths on the slanted top edge) goes through K directly.  Both end in
-`_factor`, the one banded Cholesky factorization, called straight through
-LAPACK.
+`FemWorkspace.F`, which composes the volume quadrature M
+(`FemWorkspace.quadrature_operator`) with the coefficient-to-band operator K
+(`FemWorkspace.coefficient_operator`); its transpose `FT` is the exact
+adjoint the gradient uses, and M's blocks give the Jacobian's volume
+derivatives.  The verification path `solve_deformed` (isotropic operator on
+the stretched mesh, chord lengths on the slanted top edge) goes through K
+directly.  Both end in `_factor`, the one banded Cholesky factorization,
+called straight through LAPACK.
 `forward` solves every load and reads the bottom-edge sensors out load-major;
 the data generator, the inverse problem and `solve_deformed` all go through it.
 `workspace` builds the workspace of a slab mesh once and shares it between
 the data generator and every inverse problem on that mesh; what a
-configuration adds to a mesh, its loads and sensor operator here and the
-operators other modules keep through `FemWorkspace.memo`, is built once per
-workspace and shared read-only.
+configuration adds to a mesh, its loads and the inverse problem's sensor
+operator here and the operators other modules keep through
+`FemWorkspace.memo`, is built once per workspace and shared read-only.
 
 The free nodes are the only vector space this module hands out: loads,
 solutions, the sensor operator and the element operators `grad_op` and
@@ -129,17 +130,13 @@ class FemWorkspace:
         once per workspace and shared read-only."""
         return self.memo(("loads", n_loads), lambda: all_loads(self, n_loads))
 
-    def sensor_operator(self, sensor_x1, dense: bool = False):
-        """`bottom_interpolator` at sensor_x1, built once per workspace and
-        sensor layout and shared read-only.  The data generator reads its
-        fine-mesh sensors sparse; the inverse problem takes them dense, where
-        with two entries per sensor a dense product still costs less than
-        sparse dispatch, and the adjoint solve needs dense right-hand sides."""
+    def sensor_operator(self, sensor_x1) -> np.ndarray:
+        """The inverse problem's sensors, `bottom_interpolator` at sensor_x1,
+        dense (cheaper than sparse dispatch at two entries per sensor, and the
+        adjoint solve's right-hand sides), built once per workspace and layout."""
         x = np.asarray(sensor_x1, dtype=float)
-        if dense:
-            return self.memo(("dense sensors", x.shape, x.tobytes()),
-                             lambda: self.sensor_operator(x).toarray())
-        return self.memo(("sensors", x.shape, x.tobytes()), lambda: bottom_interpolator(self, x))
+        return self.memo(("sensors", x.shape, x.tobytes()),
+                         lambda: bottom_interpolator(self, x).toarray())
 
     def _local_pairs(self):
         """Free-node row and column (r, c) of every local matrix entry, the
@@ -175,29 +172,27 @@ class FemWorkspace:
         v = np.concatenate([outer(gx, gx), outer(gx, gy) + outer(gy, gx), outer(gy, gy), *hat])
         return sp.csr_matrix((v, (at, j)), shape=((self.band_u + 1) * self.free.size, 3 * T + 2 * E))
 
-    @functools.cached_property
-    def F(self) -> sp.csr_matrix:
-        """The fused assembly operator K M from the features to the flattened
-        band, with K the coefficient operator; built on first use.
-
-        The features are phi = [f, df, 1/f, df^2/f] at the abscissae x1,
-        then the Robin weights wq at the top-edge points (2E): the linear map
-        M from phi to the coefficients c = [S11, S12, S22, wq] holds the
-        volume quadrature, S11 = sum_g areas/3 f, S12 = sum_g -areas/3 x2 df
-        and S22 = sum_g areas/3 (1/f + x2^2 df^2/f) over the points of each
-        triangle, so that band = F @ phi is one product."""
-        T, nx, nq = self.areas.size, self.x1.size, self.top_squad.size
+    def quadrature_operator(self) -> sp.csr_matrix:
+        """The volume quadrature M (3T, 4 nx) from the features
+        [f, df, 1/f, df^2/f] at the abscissae x1 to the coefficients
+        S11 = sum_g areas/3 f, S12 = sum_g -areas/3 x2 df and
+        S22 = sum_g areas/3 (1/f + x2^2 df^2/f) over each triangle's points g.
+        Built on each call, like K, so no workspace keeps it."""
+        T, nx = self.areas.size, self.x1.size
         w = np.broadcast_to(self.areas[:, None] / 3.0, self.vol_at.shape)
         x2 = self.quad_pts[..., 1]
         tri = np.broadcast_to(np.arange(T)[:, None], self.vol_at.shape)
         rows = np.concatenate([tri, T + tri, 2 * T + tri, 2 * T + tri]).ravel()
         cols = np.concatenate([self.vol_at + k * nx for k in range(4)]).ravel()
         vals = np.concatenate([w, -w * x2, w, w * x2 ** 2]).ravel()
-        top = np.arange(nq)
-        M = sp.csr_matrix((np.concatenate([vals, np.ones(nq)]),
-                           (np.concatenate([rows, 3 * T + top]),
-                            np.concatenate([cols, 4 * nx + top]))),
-                          shape=(3 * T + nq, 4 * nx + nq))
+        return sp.csr_matrix((vals, (rows, cols)), shape=(3 * T, 4 * nx))
+
+    @functools.cached_property
+    def F(self) -> sp.csr_matrix:
+        """The fused assembly operator K block_diag(M, I), built on first
+        use: band = F @ phi for the features phi, [f, df, 1/f, df^2/f] at
+        the abscissae x1 and then the top-edge Robin weights wq (2E)."""
+        M = sp.block_diag([self.quadrature_operator(), sp.identity(self.top_squad.size)])
         # the copy drops the slack of the product's over-allocated buffers
         return (self.coefficient_operator() @ M).tocsr().copy()
 

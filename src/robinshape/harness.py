@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fem, mala, optimize
-from .geometry import InvalidShapeError, SampledProfile, fourier_basis
+from .geometry import InvalidShapeError, SampledProfile
 from .inverse import Problem
 from .mala import MalaSettings
 from .optimize import GaussNewtonOptions
@@ -171,7 +171,8 @@ TRUTH_PARAMS = {
 def truth_parameters(name: str, params: dict | None = None) -> dict:
     """The parameters of truth profile name: its TRUTH_PARAMS row updated by
     params.  Raises ConfigError for an unknown profile, an unknown key, a
-    missing required one, or a value that is not finite numbers."""
+    missing required one, a value that is not finite numbers, or custom
+    samples that are not strictly increasing or not as long as their values."""
     if name not in TRUTH_PARAMS:
         raise ConfigError(f"unknown truth profile {name!r}")
     unknown = set(params or {}) - set(TRUTH_PARAMS[name])
@@ -188,6 +189,12 @@ def truth_parameters(name: str, params: dict | None = None) -> dict:
             finite = False
         if not finite:
             raise ConfigError(f"truth profile {name!r}: parameter {key!r} must be finite numbers")
+    if name == "custom":  # np.interp reads any other samples without an error
+        for x_key, v_key in (("f_x", "f_values"), ("beta_x", "beta_values")):
+            x, v = (np.asarray(merged[k], dtype=float) for k in (x_key, v_key))
+            if x.ndim != 1 or x.size == 0 or v.shape != x.shape or np.any(np.diff(x) <= 0.0):
+                raise ConfigError(f"custom truth: {x_key} must be strictly increasing, "
+                                  f"non-empty and as long as {v_key}")
     return merged
 
 
@@ -298,8 +305,10 @@ def generate_data(config: ExperimentConfig) -> SyntheticDataset:
 
     try:
         system = fem.assemble(ws, profile.eval(ws.x1), beta_true)
+        # a sparse operator, not kept: the fine mesh's sensors kept dense
+        # (32 x 2508) raised every benchmark workload's peak RSS by 0.55 MB
         y0 = fem.forward(system, ws.loads(config.n_loads),
-                         ws.sensor_operator(config.sensor_x1())).y
+                         fem.bottom_interpolator(ws, config.sensor_x1())).y
     except (InvalidShapeError, fem.SolverError) as exc:
         raise ConfigError(f"truth profile {config.truth_profile!r}: {exc}") from exc
 
@@ -327,6 +336,12 @@ def build_problem(config: ExperimentConfig, dataset: SyntheticDataset) -> Proble
                    n_loads=dataset.n_loads)
 
 
+def boundary_height(problem: Problem, alpha: np.ndarray) -> np.ndarray:
+    """The boundary height H (1 + V alpha) at the trace nodes, for one alpha
+    (n_alpha,) or a stack of them (n, n_alpha)."""
+    return problem.mesh.H * (1.0 + alpha @ problem.basis.Vs.T)
+
+
 @dataclass
 class MapResult:
     m_map: np.ndarray
@@ -344,12 +359,10 @@ def run_map(config: ExperimentConfig, dataset: SyntheticDataset) -> MapResult:
 
     alpha_map, beta_map = problem.split(m_map)
     std = lap.marginal_std
-    # boundary height H * f at the trace nodes, and its pointwise std from
-    # the alpha covariance block
-    vals, _ = fourier_basis(problem.p, problem.mesh.L, problem.trace.s)
-    cov_aa = lap.covariance[:problem.n_alpha, :problem.n_alpha]
-    bnd_std = problem.mesh.H * np.sqrt(np.einsum("si,ij,sj->s", vals, cov_aa, vals))
-    bnd_map = problem.mesh.H * (1.0 + vals @ alpha_map)
+    # the boundary height's pointwise std from the alpha covariance block
+    Vs, cov_aa = problem.basis.Vs, lap.covariance[:problem.n_alpha, :problem.n_alpha]
+    bnd_std = problem.mesh.H * np.sqrt(np.einsum("si,ij,sj->s", Vs, cov_aa, Vs))
+    bnd_map = boundary_height(problem, alpha_map)
 
     out = config.output_dir
     rep = {
@@ -403,8 +416,7 @@ def run_mcmc(config: ExperimentConfig, dataset: SyntheticDataset,
     skew_beta = mala.skewness(output.samples[:, problem.n_alpha:])
 
     # pointwise credible envelopes for the boundary height and Robin field
-    vals, _ = fourier_basis(problem.p, problem.mesh.L, problem.trace.s)
-    heights = problem.mesh.H * (1.0 + output.samples[:, :problem.n_alpha] @ vals.T)
+    heights = boundary_height(problem, output.samples[:, :problem.n_alpha])
     levels = {"68": (16.0, 84.0), "95": (2.5, 97.5), "99.7": (0.15, 99.85)}
     bnd_env = {k: np.percentile(heights, v, axis=0).tolist() for k, v in levels.items()}
     beta_samples = output.samples[:, problem.n_alpha:]

@@ -25,9 +25,12 @@ from 0.73-1.04 ms to 0.45-0.68 ms, but a desk Jacobian through it (256 band
 vectors) took 16 ms against 5-7 ms on the elements.  So each keeps its
 own reduction, and the gradient/Jacobian agreement check (acceptance
 criterion 3) compares two independent ones.  The shape reaches both only as
-the profile (f, df) on the abscissae kept by the assembly; the Jacobian
-gathers it onto the quadrature points and pulls the pointwise derivatives of
-the tensor and the admittance factor back through the basis gathered there.
+the profile (f, df) on the abscissae kept by the assembly, and both take the
+volume quadrature from `fem`: the gradient through F's transpose, the
+Jacobian as products of the quadrature operator M's blocks with the basis
+times the features' partials on the abscissae, the same partials as the
+gradient's chain rule (`FourierOperators`).  Only the admittance derivative
+is taken pointwise, at the top-edge points.
 
 `Problem` works on a shared per-mesh `fem.FemWorkspace`, reads the loads,
 the sensor operator and the `FourierOperators` of its configuration from the
@@ -44,7 +47,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import fem
-from .geometry import (InvalidShapeError,
+# pushforward_alpha_entries_from stays importable from this module: the
+# Jacobian takes the s22 partials from the quadrature operator, and
+# perfbench/tracer.py wraps inverse.pushforward_alpha_entries_from by name
+from .geometry import (InvalidShapeError,  # noqa: F401
                        admittance_alpha_entries_from, admittance_factor_from,
                        fourier_basis, pushforward_alpha_entries_from)
 from .priors import GaussianPrior
@@ -63,36 +69,28 @@ class FourierOperators:
     """The profile's Fourier basis on a workspace, shared read-only by every
     problem with the same p (`fourier_operators`).
 
-    Vx and dVx are the basis and its derivative at the abscissae ws.x1, and
-    Vb = [Vx; dVx] stacks them; dVt gathers dVx onto the top-edge points.
-    D11t and D12t are the Jacobian's volume alpha-derivative sums of s11 and
-    s12, which do not depend on the shape: the s11 derivative is the basis
-    itself and the s12 derivative is -x2 * basis', quadrature-weighted and
-    summed per triangle.  The s22 sums do depend on it, and the Jacobian
-    forms them as Q @ Vb with the sparse quadrature-sum matrix Q (T, 2 nx),
-    whose fixed pattern (q_indices, q_indptr) puts the weights wg * a and
-    wg * b of triangle t's points on their abscissae in Vx and dVx."""
+    Vx and dVx are the basis and its derivative at the abscissae ws.x1, Vs
+    the basis at the trace nodes.  The Jacobian's volume alpha-derivatives
+    are the volume quadrature M (`fem.FemWorkspace.quadrature_operator`)
+    times the features' partials times the basis: D11t and D12t (n_alpha, T)
+    of S11 and S12 are constant, and that of S22 is formed per call from
+    M22, M's S22 block over the [1/f, df^2/f] columns."""
 
     Vx: np.ndarray
     dVx: np.ndarray
-    Vb: np.ndarray
-    dVt: np.ndarray
-    wg: np.ndarray
+    Vs: np.ndarray
     D11t: np.ndarray
     D12t: np.ndarray
-    q_indices: np.ndarray
-    q_indptr: np.ndarray
+    M22: sp.csr_matrix
 
-    def s22_sums(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """(n_alpha, T): sum over the points g of triangle t of
-        wg (a Vx + b dVx) at g's abscissa, for the pointwise partials a, b
-        (T, 3) of s22 in f and df; one sparse product Q @ Vb."""
-        T = self.wg.shape[0]
-        q = np.empty((T, 6))
-        np.multiply(self.wg, a, out=q[:, :3])
-        np.multiply(self.wg, b, out=q[:, 3:])
-        Q = sp.csr_matrix((q.ravel(), self.q_indices, self.q_indptr), shape=(T, self.Vb.shape[0]))
-        return np.ascontiguousarray((Q @ self.Vb).T)
+    def s22_derivative(self, f: np.ndarray, df: np.ndarray) -> np.ndarray:
+        """(n_alpha, T): the alpha-derivative of S22 at the profile (f, df),
+        M22 times the partials of 1/f and df^2/f, as in the gradient."""
+        inv_f = 1.0 / f
+        a = -inv_f * inv_f
+        return np.ascontiguousarray((self.M22 @ np.concatenate([
+            a[:, None] * self.Vx,
+            (a * df * df)[:, None] * self.Vx + (2.0 * df * inv_f)[:, None] * self.dVx])).T)
 
 
 def fourier_operators(ws: fem.FemWorkspace, p: int) -> FourierOperators:
@@ -100,14 +98,12 @@ def fourier_operators(ws: fem.FemWorkspace, p: int) -> FourierOperators:
     def build():
         nx, T = ws.x1.size, ws.areas.size
         Vx, dVx = fourier_basis(p, ws.mesh.L, ws.x1)
-        x2q = ws.quad_pts[..., 1]
-        wg = np.broadcast_to(ws.areas[:, None] / 3.0, x2q.shape)
+        M = ws.quadrature_operator()
         return FourierOperators(
-            Vx=Vx, dVx=dVx, Vb=np.concatenate([Vx, dVx]), dVt=dVx[ws.top_at], wg=wg,
-            D11t=np.einsum("tg,tgi->it", wg, Vx[ws.vol_at], order="C"),
-            D12t=-np.einsum("tg,tgi->it", wg * x2q, dVx[ws.vol_at], order="C"),
-            q_indices=np.concatenate([ws.vol_at, nx + ws.vol_at], axis=1).ravel().astype(np.int32),
-            q_indptr=np.arange(0, 6 * T + 1, 6, dtype=np.int32))
+            Vx=Vx, dVx=dVx, Vs=fourier_basis(p, ws.mesh.L, ws.trace.s)[0],
+            D11t=np.ascontiguousarray((M[:T, :nx] @ Vx).T),
+            D12t=np.ascontiguousarray((M[T:2 * T, nx:2 * nx] @ dVx).T),
+            M22=M[2 * T:, 2 * nx:])
     return ws.memo(("fourier", p), build)
 
 
@@ -154,7 +150,7 @@ class Problem:
         self.sensor_x1 = np.asarray(sensor_x1, dtype=float)
         self.n_loads = int(n_loads)
         # BT, a column-major view, is also the Jacobian's sensor right-hand sides
-        self.B = ws.sensor_operator(self.sensor_x1, dense=True)
+        self.B = ws.sensor_operator(self.sensor_x1)
         self.BT = self.B.T
         self.m_obs = self.sensor_x1.size * self.n_loads
         if self.data.shape != (self.m_obs,):
@@ -205,11 +201,6 @@ class Problem:
         return self.potential(m).J
 
     # -- sensitivities ------------------------------------------------------
-
-    def _element_values(self, X: np.ndarray):
-        """Stacked triangle gradients (2T, k), x1 then x2 component, and
-        top-edge point values (2E, k) of the free-node columns X."""
-        return self.ws.grad_op @ X, self.ws.top_op @ X
 
     def gradient(self, m: np.ndarray) -> np.ndarray:
         """Full gradient of J: sum_l v_l^T (dA/dm) u_l over the forward
@@ -271,19 +262,20 @@ class Problem:
             raise InvalidShapeError("cannot linearize at an invalid shape")
         system, ws, ops = ev.state.system, self.ws, self.basis
         W = system.solve(self.BT)  # (n_free, sensors)
-        gu, tu = self._element_values(ev.state.solutions)
-        gw, tw = self._element_values(W)
+        # triangle gradients (2T, k), x1 then x2, and top-edge point values (2E, k)
+        gu, tu = ws.grad_op @ ev.state.solutions, ws.top_op @ ev.state.solutions
+        gw, tw = ws.grad_op @ W, ws.top_op @ W
         K, S, T, na = gu.shape[1], gw.shape[1], ws.areas.size, self.n_alpha
         f, df = system.profile
-        f_vol, df_vol, df_top = f[ws.vol_at], df[ws.vol_at], df[ws.top_at]
-        # volume part, alpha only: grad(w) . (dS/dalpha) grad(u).  s22
-        # depends on alpha through f and df: ds22/dalpha = a * basis + b * basis',
-        # summed per triangle by the quadrature-sum matrix Q over [Vx; dVx]
-        D22 = ops.s22_sums(*pushforward_alpha_entries_from(f_vol, df_vol, ws.quad_pts[..., 1]))
+        df_top = df[ws.top_at]
+        # volume part, alpha only: grad(w) . (dS/dalpha) grad(u), with the
+        # constant D11t and D12t and the shape-dependent D22
+        D22 = ops.s22_derivative(f, df)
         # boundary part: exp(beta) times the admittance factor, differentiated
         # in alpha through the factor and in beta through the trace hat functions
         D_top = np.concatenate([
-            (system.robin * admittance_alpha_entries_from(df_top, self.mesh.H))[..., None] * ops.dVt,
+            (system.robin * admittance_alpha_entries_from(df_top, self.mesh.H))[..., None]
+            * ops.dVx[ws.top_at],
             (system.robin * admittance_factor_from(df_top, self.mesh.H))[..., None]
             * ws.top_interp.reshape(*df_top.shape, self.q)],
             axis=2).reshape(-1, self.n)

@@ -176,6 +176,21 @@ def test_example2_needs_rng_and_unknown_name():
     assert np.all(np.isfinite(f)) and f.min() > 0.0
 
 
+def test_custom_truth_samples_are_checked_on_load(tmp_path):
+    # np.interp reads decreasing abscissae without an error and gives a
+    # wrong profile (f_x = [1, 0] with f_values = [1, 0.5] read 1.0 and then
+    # 0.5 everywhere), and a length mismatch failed only in generate-data
+    custom = {"f_x": [0.0, 1.0], "f_values": [1.0, 0.5],
+              "beta_x": [0.0, 1.0], "beta_values": [0.0, 0.0]}
+    for bad in ({"f_x": [1.0, 0.0]}, {"beta_x": [1.0, 0.0]}, {"f_x": [0.0, 0.0]},
+                {"f_values": [1.0, 0.5, 0.8]}, {"beta_x": [0.0, 0.5, 1.0]},
+                {"f_x": [], "f_values": []}, {"beta_x": 0.5, "beta_values": 0.0}):
+        with pytest.raises(ConfigError):
+            small_config(tmp_path, truth_profile="custom", truth_params={**custom, **bad})
+    f, _ = truth_profiles("custom", custom)[0].eval(np.array([0.0, 0.5, 1.0]))
+    np.testing.assert_allclose(f, [1.0, 0.75, 0.5])
+
+
 def test_custom_profile():
     params = {"f_x": [0.0, 1.0], "f_values": [1.0, 1.0],
               "beta_x": [0.0, 1.0], "beta_values": [0.25, 0.25]}
@@ -585,8 +600,11 @@ def test_shared_operators_are_read_only(tmp_path):
     fine = fem.workspace(cfg.L, cfg.H, cfg.fine_mesh.nx, cfg.fine_mesh.ny)
     arrays = [prob.B, prob.BT, prob.loads, prob.prior_mean, prob.prior_precision,
               prob.prior.chol_precision, fine.loads(cfg.n_loads),
-              fine.sensor_operator(cfg.sensor_x1()).data]
-    arrays += [getattr(prob.basis, f.name) for f in dataclasses.fields(prob.basis)]
+              fine.sensor_operator(cfg.sensor_x1())]
+    arrays += [getattr(prob.basis, f.name) for f in dataclasses.fields(prob.basis)
+               if f.name != "M22"]
+    # the sparse quadrature block, through its storage
+    arrays += [prob.basis.M22.data, prob.basis.M22.indices, prob.basis.M22.indptr]
     for a in arrays:
         with pytest.raises(ValueError):
             a[(0,) * a.ndim] += 1

@@ -229,20 +229,24 @@ def test_target_goes_through_the_traced_entry_points(rng, monkeypatch):
 
 
 @pytest.mark.parametrize("nx, ny", [(77, 7), (229, 10)])
-def test_s22_sums_match_the_pointwise_einsum(nx, ny, rng):
-    # the sparse quadrature-sum product against the two einsums over the
-    # basis gathered onto the volume quadrature points
+def test_volume_derivatives_match_the_pointwise_einsums(nx, ny, rng):
+    # D11t, D12t and the Jacobian's D22 from the quadrature operator M
+    # against einsums of the pointwise partials of the tensor entries with
+    # the basis gathered onto the volume quadrature points: s11 = f and
+    # s12 = -x2 df have the partials 1 and -x2, s22 those of
+    # pushforward_alpha_entries_from
     ws = fem.workspace(1.0, 0.05, nx, ny)
     ops = inverse.fourier_operators(ws, 7)
     shape = geometry.BoundaryShape(alpha=0.05 * rng.standard_normal(15), L=1.0, H=0.05)
     f, df = shape.eval(ws.x1)
-    a, b = geometry.pushforward_alpha_entries_from(f[ws.vol_at], df[ws.vol_at],
-                                                   ws.quad_pts[..., 1])
-    ref = np.einsum("tg,tgi->it", ops.wg * a, ops.Vx[ws.vol_at], order="C")
-    ref += np.einsum("tg,tgi->it", ops.wg * b, ops.dVx[ws.vol_at], order="C")
-    D22 = ops.s22_sums(a, b)
-    assert D22.shape == ref.shape and D22.flags.c_contiguous
-    assert np.max(np.abs(D22 - ref)) <= 1e-14 * np.max(np.abs(ref))
+    w, x2 = ws.areas[:, None] / 3.0 * np.ones(3), ws.quad_pts[..., 1]
+    Vg, dVg = ops.Vx[ws.vol_at], ops.dVx[ws.vol_at]
+    a, b = geometry.pushforward_alpha_entries_from(f[ws.vol_at], df[ws.vol_at], x2)
+    refs = (np.einsum("tg,tgi->it", w, Vg), np.einsum("tg,tgi->it", -w * x2, dVg),
+            np.einsum("tg,tgi->it", w * a, Vg) + np.einsum("tg,tgi->it", w * b, dVg))
+    for D, ref in zip((ops.D11t, ops.D12t, ops.s22_derivative(f, df)), refs):
+        assert D.shape == ref.shape and D.flags.c_contiguous
+        assert np.max(np.abs(D - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("nx, ny", [(77, 7), (229, 10)])

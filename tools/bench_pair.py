@@ -13,7 +13,9 @@ WORKLOAD:SEED`` adds one ``--trace 1`` run per checkout.  The results go to
 with the checkout's git SHA and the Python, numpy and scipy versions of the
 interpreter that ran the benchmark.  ``--change`` defaults to the checkout
 this script sits in.  Both checkouts must be git checkouts; a checkout with
-uncommitted changes is recorded with ``"git_dirty": true``.
+uncommitted changes is recorded with ``"git_dirty": true``.  The SHAs are
+read and ``--out-dir`` is created before the first run, so a bad checkout
+or output path stops the script before it has run anything.
 """
 import argparse
 import json
@@ -62,6 +64,19 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    # everything that can fail outside the runs is settled before the first
+    # one, so a bad checkout or output path does not cost a whole pair
+    docs = {}
+    for side, checkout in sides.items():
+        try:
+            sha = git(checkout, "rev-parse", "HEAD")
+            dirty = git(checkout, "status", "--porcelain", "--untracked-files=no")
+        except subprocess.CalledProcessError:
+            ap.error(f"--{side} {checkout} is not a git checkout")
+        label = f"{args.label}-parent" if side == "parent" else args.label
+        docs[side] = {"label": label, "git_sha": sha, **({"git_dirty": True} if dirty else {})}
+    args.out_dir.mkdir(parents=True, exist_ok=True)
+
     runs = {side: [] for side in sides}
     jobs = [(w, s, 0) for s in args.seeds for w in args.workloads]
     jobs += [(w, int(s), 1) for w, s in (t.split(":") for t in args.traced)]
@@ -75,13 +90,9 @@ def main(argv=None) -> int:
 
     host = {"machine": args.machine, "python": platform.python_version(),
             "numpy": version("numpy"), "scipy": version("scipy")}
-    for side, checkout in sides.items():
-        label = f"{args.label}-parent" if side == "parent" else args.label
-        doc = {"label": label, "git_sha": git(checkout, "rev-parse", "HEAD")}
-        if git(checkout, "status", "--porcelain", "--untracked-files=no"):
-            doc["git_dirty"] = True
+    for side, doc in docs.items():
         doc.update({"host": host, "note": NOTE, "runs": runs[side]})
-        path = args.out_dir / f"BENCH_{label}.json"
+        path = args.out_dir / f"BENCH_{doc['label']}.json"
         path.write_text(json.dumps(doc, indent=1) + "\n")
         print(f"wrote {path}", file=sys.stderr)
     return 0
