@@ -20,19 +20,23 @@ adjoint the gradient uses, and M's blocks give the Jacobian's volume
 derivatives.  The verification path `solve_deformed` (isotropic operator on
 the stretched mesh, chord lengths on the slanted top edge) goes through K
 directly.  Both end in `_factor`, the one banded Cholesky factorization,
-called straight through LAPACK.
+called straight through LAPACK.  The Robin field reaches the top-edge points
+by a gather of the two trace nodes of each top edge (`FemWorkspace.top_trace`).
 `forward` solves every load and reads the bottom-edge sensors out load-major;
 the data generator, the inverse problem and `solve_deformed` all go through it.
+The sensors (`Sensors`) are the few free rows they touch and a dense block of
+their weights there, so that every read and every adjoint right-hand side
+touches two rows per sensor.
 `workspace` builds the workspace of a slab mesh once and shares it between
 the data generator and every inverse problem on that mesh; what a
-configuration adds to a mesh, its loads and the inverse problem's sensor
-operator here and the operators other modules keep through
-`FemWorkspace.memo`, is built once per workspace and shared read-only.
+configuration adds to a mesh, its loads and sensors here and the operators
+other modules keep through `FemWorkspace.memo`, is built once per workspace
+and shared read-only.
 
 The free nodes are the only vector space this module hands out: loads,
-solutions, the sensor operator and the element operators `grad_op` and
-`top_op` all live on the free nodes in `FemWorkspace.free` order.  The
-Dirichlet values are zero, so no caller ever needs the full nodal vector.
+solutions, the sensors and the element operators `grad_op` and `top_op` all
+live on the free nodes in `FemWorkspace.free` order.  The Dirichlet values
+are zero, so no caller ever needs the full nodal vector.
 """
 from __future__ import annotations
 
@@ -59,8 +63,10 @@ class SolverError(Exception):
 # 2-point Gauss rule on [-1, 1]
 _EDGE_XI = np.array([-1.0, 1.0]) / np.sqrt(3.0)
 _EDGE_W = np.array([0.5, 0.5])  # weights on the unit-length reference edge
-# P1 hat values at the two edge quadrature points: (2 gauss, 2 local nodes)
-_EDGE_PHI = np.column_stack([(1.0 - _EDGE_XI) / 2.0, (1.0 + _EDGE_XI) / 2.0])
+# P1 hat values at the two edge quadrature points: (2 gauss, 2 local nodes);
+# with FemWorkspace.top_trace they are the interpolation of the Robin field
+# onto the top-edge points
+EDGE_PHI = np.column_stack([(1.0 - _EDGE_XI) / 2.0, (1.0 + _EDGE_XI) / 2.0])
 
 
 class FemWorkspace:
@@ -85,6 +91,11 @@ class FemWorkspace:
         self.trace = trace_of_top(mesh)
         self.top_edges = self._sorted_edges(mesh.edge_groups["top"])
         self.bottom_edges = self._sorted_edges(mesh.edge_groups["bottom"])
+        # the trace nodes (E, 2) at the ends of each top edge: point g of
+        # edge e carries sum_a EDGE_PHI[g, a] beta[top_trace[e, a]]
+        to_trace = np.full(mesh.n_nodes, -1)
+        to_trace[self.trace.parent_nodes] = np.arange(self.trace.n_nodes)
+        self.top_trace = to_trace[self.top_edges]
 
         x1 = mesh.nodes[:, 0]
         free_mask = (x1 != 0.0) & (x1 != mesh.L)
@@ -130,13 +141,30 @@ class FemWorkspace:
         once per workspace and shared read-only."""
         return self.memo(("loads", n_loads), lambda: all_loads(self, n_loads))
 
-    def sensor_operator(self, sensor_x1) -> np.ndarray:
-        """The inverse problem's sensors, `bottom_interpolator` at sensor_x1,
-        dense (cheaper than sparse dispatch at two entries per sensor, and the
-        adjoint solve's right-hand sides), built once per workspace and layout."""
+    def sensor_operator(self, sensor_x1) -> "Sensors":
+        """The bottom-edge sensors at sensor_x1, each the linear
+        interpolation of its two neighbouring bottom nodes, built once per
+        workspace and layout.  Sensors on a Dirichlet node read its zero
+        value, so their weight there is dropped."""
         x = np.asarray(sensor_x1, dtype=float)
-        return self.memo(("sensors", x.shape, x.tobytes()),
-                         lambda: bottom_interpolator(self, x).toarray())
+        if np.any(x < 0.0) or np.any(x > self.mesh.L):
+            raise ValueError("sensor locations must lie in [0, L]")
+
+        def build():
+            bottom = np.unique(self.bottom_edges)
+            bottom = bottom[np.argsort(self.mesh.nodes[bottom, 0])]
+            xs = self.mesh.nodes[bottom, 0]
+            seg = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, xs.size - 2)
+            t = (x - xs[seg]) / (xs[seg + 1] - xs[seg])
+            sensor = np.repeat(np.arange(x.size), 2)
+            node = self.full_to_free[np.column_stack([bottom[seg], bottom[seg + 1]]).ravel()]
+            weight = np.column_stack([1.0 - t, t]).ravel()
+            on = node >= 0
+            rows, col = np.unique(node[on], return_inverse=True)
+            block = np.zeros((x.size, rows.size))
+            block[sensor[on], col] = weight[on]
+            return Sensors(rows=rows, block=block, n_free=self.free.size)
+        return self.memo(("sensors", x.shape, x.tobytes()), build)
 
     def _local_pairs(self):
         """Free-node row and column (r, c) of every local matrix entry, the
@@ -166,7 +194,7 @@ class FemWorkspace:
         t, e = vol // 9, top // 4
         gx, gy = self.grads[..., 0], self.grads[..., 1]
         outer = lambda u, w: (u[:, :, None] * w[:, None, :]).ravel()[vol]
-        hat = [np.tile(np.outer(phi, phi).ravel(), E)[top] for phi in _EDGE_PHI]
+        hat = [np.tile(np.outer(phi, phi).ravel(), E)[top] for phi in EDGE_PHI]
         at = np.concatenate([np.tile(pos[vol], 3), np.tile(pos[9 * T + top], 2)])
         j = np.concatenate([t, T + t, 2 * T + t, 3 * T + 2 * e, 3 * T + 2 * e + 1])
         v = np.concatenate([outer(gx, gx), outer(gx, gy) + outer(gy, gx), outer(gy, gy), *hat])
@@ -204,14 +232,6 @@ class FemWorkspace:
         return self.F.T.tocsr()
 
     @functools.cached_property
-    def top_interp(self) -> np.ndarray:
-        """Dense linear interpolation (2E, q) of nodal trace values onto the
-        top-edge quadrature points: row 2 * e + g is point g of top edge e."""
-        on_node = self.top_edges[..., None] == self.trace.parent_nodes
-        return np.einsum("ga,eaj->egj", _EDGE_PHI, on_node.astype(float)).reshape(
-            -1, self.trace.n_nodes)
-
-    @functools.cached_property
     def grad_op(self) -> sp.csr_matrix:
         """P1 gradient operator (2T, n_free): row c * T + t of grad_op @ u is
         component c of grad(u) on triangle t, for free-node values u."""
@@ -227,7 +247,7 @@ class FemWorkspace:
         E = self.top_edges.shape[0]
         rows = np.arange(2 * E).reshape(E, 2, 1).repeat(2, axis=2)
         cols = np.broadcast_to(self.top_edges[:, None, :], rows.shape)
-        return self._on_free(np.broadcast_to(_EDGE_PHI, rows.shape), rows, cols)
+        return self._on_free(np.broadcast_to(EDGE_PHI, rows.shape), rows, cols)
 
     def _on_free(self, vals, rows, cols) -> sp.csr_matrix:
         # an operator on the nodal values, restricted to the free-node
@@ -295,17 +315,45 @@ def workspace(L: float, H: float, nx: int, ny: int) -> FemWorkspace:
 
 
 @dataclass
+class Sensors:
+    """Sensors that read free-node values by a few rows: the sensor values
+    of free-node columns U (n_free, k) are block @ U[rows], with rows the
+    free nodes any sensor touches, ascending, and block (n_sensors, rows)
+    the sensors' weights there.  Two rows per sensor keep the block small
+    where the dense (n_sensors, n_free) operator would be nearly all zeros."""
+
+    rows: np.ndarray
+    block: np.ndarray
+    n_free: int
+
+    def read(self, U: np.ndarray) -> np.ndarray:
+        """Sensor values (n_sensors, k) of free-node columns U (n_free, k)."""
+        return self.block @ U[self.rows]
+
+    def adjoint(self, R: np.ndarray) -> np.ndarray:
+        """The free-node right-hand sides B^T R (n_free, k), column-major as
+        the banded solve takes them, for sensor weights R (n_sensors, k)."""
+        rhs = np.zeros((self.n_free, R.shape[1]), order="F")
+        rhs[self.rows] = self.block.T @ R
+        return rhs
+
+
+@dataclass
 class AssembledSystem:
     """Reduced SPD system in upper banded storage (band[u + i - j, j] =
     A[i, j] for i <= j, free nodes in ws.free order) with its banded Cholesky
-    factor.  profile (f and df at the abscissae ws.x1) and robin (exp(beta) *
-    w_g * len at the top-edge quadrature points, (E, 2)) are kept for the
-    sensitivities; the deformed-domain system carries neither."""
+    factor.  The features `assemble` forms are kept for the sensitivities:
+    profile (f and df at the abscissae ws.x1) with inv_f = 1/f there, robin
+    (exp(beta) * w_g * len at the top-edge quadrature points, (E, 2)) and
+    admittance, the admittance factor at those points; the deformed-domain
+    system carries none of them."""
 
     band: np.ndarray
     chol: np.ndarray
     profile: tuple | None = None
+    inv_f: np.ndarray | None = None
     robin: np.ndarray | None = None
+    admittance: np.ndarray | None = None
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve for free-node right-hand sides rhs, (n_free,) or (n_free, k)."""
@@ -361,10 +409,12 @@ def assemble(ws: FemWorkspace, profile, beta: np.ndarray) -> AssembledSystem:
         raise InvalidShapeError("height profile f is not finite and positive "
                                 "at the quadrature abscissae")
     inv_f = 1.0 / f
-    robin = np.exp(ws.top_interp @ beta).reshape(ws.top_lw.shape) * ws.top_lw
-    wq = robin * admittance_factor_from(df[ws.top_at], ws.mesh.H)
+    robin = np.exp(beta[ws.top_trace] @ EDGE_PHI.T) * ws.top_lw
+    admittance = admittance_factor_from(df[ws.top_at], ws.mesh.H)
+    wq = robin * admittance
     band, chol = _factor(ws, ws.F @ np.concatenate([f, df, inv_f, df * df * inv_f, wq.ravel()]))
-    return AssembledSystem(band=band, chol=chol, profile=(f, df), robin=robin)
+    return AssembledSystem(band=band, chol=chol, profile=(f, df), inv_f=inv_f, robin=robin,
+                           admittance=admittance)
 
 
 def neumann_load(ws: FemWorkspace, k: int) -> np.ndarray:
@@ -372,7 +422,7 @@ def neumann_load(ws: FemWorkspace, k: int) -> np.ndarray:
     squad, lengths = ws.edge_quad(ws.bottom_edges)
     g = np.sin(2.0 * np.pi * k * squad / ws.mesh.L)
     wq = g * (_EDGE_W[None, :] * lengths[:, None])
-    f_loc = wq @ _EDGE_PHI  # (E, 2)
+    f_loc = wq @ EDGE_PHI  # (E, 2)
     return np.bincount(ws.bottom_edges.ravel(), f_loc.ravel(), ws.mesh.n_nodes)[ws.free]
 
 
@@ -380,30 +430,13 @@ def all_loads(ws: FemWorkspace, n_loads: int) -> np.ndarray:
     return np.column_stack([neumann_load(ws, k) for k in range(1, n_loads + 1)])
 
 
-def bottom_interpolator(ws: FemWorkspace, sensor_x1: np.ndarray) -> sp.csr_matrix:
-    """Sparse operator (n_sensors, n_free) mapping free-node values to
-    bottom-edge sensor values."""
-    sensor_x1 = np.asarray(sensor_x1, dtype=float)
-    if np.any(sensor_x1 < 0.0) or np.any(sensor_x1 > ws.mesh.L):
-        raise ValueError("sensor locations must lie in [0, L]")
-    bottom_nodes = np.unique(ws.bottom_edges)
-    order = np.argsort(ws.mesh.nodes[bottom_nodes, 0])
-    bottom_nodes = bottom_nodes[order]
-    xs = ws.mesh.nodes[bottom_nodes, 0]
-    seg = np.clip(np.searchsorted(xs, sensor_x1, side="right") - 1, 0, xs.size - 2)
-    t = (sensor_x1 - xs[seg]) / (xs[seg + 1] - xs[seg])
-    rows = np.repeat(np.arange(sensor_x1.size), 2)
-    cols = np.column_stack([bottom_nodes[seg], bottom_nodes[seg + 1]])
-    return ws._on_free(np.column_stack([1.0 - t, t]), rows, cols)
-
-
-def forward(system: AssembledSystem, loads: np.ndarray, B) -> ForwardState:
+def forward(system: AssembledSystem, loads: np.ndarray, sensors: Sensors) -> ForwardState:
     """Solve the assembled system for every load column (n_free, n_loads) and read
-    the solutions out through the sensor operator B: the one forward map."""
+    the solutions out through the sensors: the one forward map."""
     U = system.solve(loads)
     if not np.all(np.isfinite(U)):
         raise SolverError("non-finite forward solution")
-    return ForwardState(solutions=U, system=system, y=(B @ U).T.ravel())
+    return ForwardState(solutions=U, system=system, y=sensors.read(U).T.ravel())
 
 
 def solve_deformed(mesh: SlabMesh, shape, beta: np.ndarray, n_loads: int,
@@ -430,4 +463,4 @@ def solve_deformed(mesh: SlabMesh, shape, beta: np.ndarray, n_loads: int,
     c = np.concatenate([ws.areas, np.zeros_like(ws.areas), ws.areas, wq.ravel()])
     band, chol = _factor(ws, ws.coefficient_operator() @ c)
     return forward(AssembledSystem(band=band, chol=chol), all_loads(ws, n_loads),
-                   bottom_interpolator(ws, sensor_x1))
+                   ws.sensor_operator(sensor_x1))

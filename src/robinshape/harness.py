@@ -1,8 +1,9 @@
 """Experiment orchestration: configuration, inverse-crime-free synthetic data
 generation, MAP/Laplace and MCMC runs, and result export.  The data come from
 `fem.forward`, the inverse problem's forward map, on a finer mesh; every CSV
-artifact is written by `table_csv`; a config's truth parameters are checked
-against the profile's row of `TRUTH_PARAMS` when it is loaded."""
+artifact is written by `table_csv`, or for the chain in its format by
+`chain_csv`; a config's truth parameters are checked against the profile's
+row of `TRUTH_PARAMS` when it is loaded."""
 from __future__ import annotations
 
 import dataclasses
@@ -305,10 +306,7 @@ def generate_data(config: ExperimentConfig) -> SyntheticDataset:
 
     try:
         system = fem.assemble(ws, profile.eval(ws.x1), beta_true)
-        # a sparse operator, not kept: the fine mesh's sensors kept dense
-        # (32 x 2508) raised every benchmark workload's peak RSS by 0.55 MB
-        y0 = fem.forward(system, ws.loads(config.n_loads),
-                         fem.bottom_interpolator(ws, config.sensor_x1())).y
+        y0 = fem.forward(system, ws.loads(config.n_loads), ws.sensor_operator(config.sensor_x1())).y
     except (InvalidShapeError, fem.SolverError) as exc:
         raise ConfigError(f"truth profile {config.truth_profile!r}: {exc}") from exc
 
@@ -394,10 +392,30 @@ class McmcResult:
 
 
 def chain_csv(problem: Problem, output: mala.ChainOutput) -> str:
+    """chain.csv, the text `table_csv` writes for the columns of the states,
+    J and the accepted flag.  A rejected step repeats the state before it,
+    so a row whose state and J are bitwise those of the row above reuses
+    their text, and each state is formatted once."""
     names = [f"alpha_{i}" for i in range(problem.n_alpha)]
     names += [f"beta_{j + 1}" for j in range(problem.q)]
-    return table_csv(names + ["J", "accepted"], *output.samples.T, output.J_trace,
-                     output.accept_flags.astype(int))
+    lines = [",".join(names + ["J", "accepted"])]
+    flags = output.accept_flags.astype(int)
+    text = None
+    for i in range(0, len(output.samples), 1024):
+        # the block and the row above it, compared by their bits, so that
+        # -0.0 is not taken for 0.0 nor one NaN for another
+        lo = max(i - 1, 0)
+        rows = np.column_stack([output.samples[lo:i + 1024], output.J_trace[lo:i + 1024]])
+        bits = rows.view(np.int64)
+        new = np.any(bits[1:] != bits[:-1], axis=1)
+        if i == 0:
+            new = np.concatenate([[True], new])
+        fresh = iter(rows[i - lo:][new].tolist())
+        for is_new, flag in zip(new.tolist(), flags[i:i + 1024].tolist()):
+            if is_new:
+                text = ",".join(map(repr, next(fresh)))
+            lines.append(f"{text},{flag!r}")
+    return "\n".join(lines) + "\n"
 
 
 def run_mcmc(config: ExperimentConfig, dataset: SyntheticDataset,

@@ -51,17 +51,22 @@ from . import fem
 # Jacobian takes the s22 partials from the quadrature operator, and
 # perfbench/tracer.py wraps inverse.pushforward_alpha_entries_from by name
 from .geometry import (InvalidShapeError,  # noqa: F401
-                       admittance_alpha_entries_from, admittance_factor_from,
-                       fourier_basis, pushforward_alpha_entries_from)
+                       admittance_alpha_entries_from, fourier_basis,
+                       pushforward_alpha_entries_from)
 from .priors import GaussianPrior
 
 
 @dataclass
 class PotentialEvaluation:
+    """J = misfit + prior at a point, with the forward state and the prior's
+    gradient prior_precision @ (m - prior_mean), which the potential forms on
+    the way; both are None at an invalid point."""
+
     J: float
     misfit: float
     prior: float
     state: fem.ForwardState | None = None
+    prior_grad: np.ndarray | None = None
 
 
 @dataclass
@@ -149,9 +154,7 @@ class Problem:
         self.inv_noise_var = 1.0 / self.noise_std ** 2
         self.sensor_x1 = np.asarray(sensor_x1, dtype=float)
         self.n_loads = int(n_loads)
-        # BT, a column-major view, is also the Jacobian's sensor right-hand sides
         self.B = ws.sensor_operator(self.sensor_x1)
-        self.BT = self.B.T
         self.m_obs = self.sensor_x1.size * self.n_loads
         if self.data.shape != (self.m_obs,):
             raise ValueError("data length does not match sensors x loads")
@@ -191,9 +194,11 @@ class Problem:
         else:
             r = self.data - state.y
             misfit = 0.5 * self.inv_noise_var * float(r @ r)
-            prior = self.prior.potential(m)
+            d = m - self.prior_mean
+            prior_grad = self.prior_precision @ d
+            prior = 0.5 * float(d @ prior_grad)
             ev = PotentialEvaluation(J=misfit + prior, misfit=misfit, prior=prior,
-                                     state=state)
+                                     state=state, prior_grad=prior_grad)
         self._kept = (m, ev)
         return ev
 
@@ -210,30 +215,32 @@ class Problem:
         on the band, mapped to the features [f, df, 1/f, df^2/f, wq] by the
         transpose of the fused operator, then the chain rule on the
         abscissae ws.x1, where the Fourier basis is cached, and through the
-        interpolation of beta onto the top-edge points."""
+        interpolation of beta onto the top-edge points.  1/f, the admittance
+        factor and the prior's gradient are read from the kept evaluation."""
         ev = self.potential(m)
         if not np.isfinite(ev.J):
             raise InvalidShapeError("cannot differentiate at an invalid shape")
         system, ws = ev.state.system, self.ws
         r = (self.data - ev.state.y).reshape(self.n_loads, -1)  # (loads, sensors)
-        V = system.solve(self.inv_noise_var * (self.BT @ r.T))
+        V = system.solve(self.inv_noise_var * self.B.adjoint(r.T))
         z = ws.FT @ ws.band_pairs(ev.state.solutions, V)
         nx = ws.x1.size
         z_f, z_df, z_inv, z_sq = z[:4 * nx].reshape(4, nx)
-        z_w = z[4 * nx:].reshape(ws.top_at.shape)
-        f, df = system.profile
-        inv_f = 1.0 / f
-        df_top = df[ws.top_at]
+        z_wr = z[4 * nx:].reshape(ws.top_at.shape) * system.robin
+        _, df = system.profile
+        inv_f = system.inv_f
         # sensitivities to f and df on the abscissae: the volume features
         # f, df, 1/f and df^2/f, then wq = robin * admittance(df) at the
         # top-edge points, each of which has an abscissa of its own
         g_f = z_f - (z_inv + z_sq * df * df) * inv_f * inv_f
         g_df = z_df + 2.0 * z_sq * df * inv_f
-        g_df[ws.top_at] += z_w * system.robin * admittance_alpha_entries_from(df_top, self.mesh.H)
-        g_beta = (z_w * system.robin * admittance_factor_from(df_top, self.mesh.H)).ravel()
-        return (np.concatenate([g_f @ self.basis.Vx + g_df @ self.basis.dVx,
-                                g_beta @ ws.top_interp])
-                + self.prior_precision @ (m - self.prior_mean))
+        g_df[ws.top_at] += z_wr * admittance_alpha_entries_from(df[ws.top_at], self.mesh.H)
+        # beta through its interpolation onto the top-edge points, back to
+        # the two trace nodes at the ends of each edge
+        g_beta = np.bincount(ws.top_trace.ravel(),
+                             ((z_wr * system.admittance) @ fem.EDGE_PHI).ravel(), minlength=self.q)
+        return (np.concatenate([g_f @ self.basis.Vx + g_df @ self.basis.dVx, g_beta])
+                + ev.prior_grad)
 
     def potential_and_gradient(self, m: np.ndarray):
         """(J, grad) with grad None when the shape is invalid (MALA target)."""
@@ -261,7 +268,7 @@ class Problem:
         if not np.isfinite(ev.J):
             raise InvalidShapeError("cannot linearize at an invalid shape")
         system, ws, ops = ev.state.system, self.ws, self.basis
-        W = system.solve(self.BT)  # (n_free, sensors)
+        W = system.solve(self.B.adjoint(np.eye(self.B.block.shape[0])))  # (n_free, sensors)
         # triangle gradients (2T, k), x1 then x2, and top-edge point values (2E, k)
         gu, tu = ws.grad_op @ ev.state.solutions, ws.top_op @ ev.state.solutions
         gw, tw = ws.grad_op @ W, ws.top_op @ W
@@ -272,14 +279,16 @@ class Problem:
         # constant D11t and D12t and the shape-dependent D22
         D22 = ops.s22_derivative(f, df)
         # boundary part: exp(beta) times the admittance factor, differentiated
-        # in alpha through the factor and in beta through the trace hat functions
-        D_top = np.concatenate([
-            (system.robin * admittance_alpha_entries_from(df_top, self.mesh.H))[..., None]
-            * ops.dVx[ws.top_at],
-            (system.robin * admittance_factor_from(df_top, self.mesh.H))[..., None]
-            * ws.top_interp.reshape(*df_top.shape, self.q)],
-            axis=2).reshape(-1, self.n)
-        G = top_edge_rows(tu, tw, D_top)
+        # in alpha through the factor and in beta through the trace hat
+        # functions, EDGE_PHI at the two trace nodes of each top edge
+        E = df_top.shape[0]
+        D_top = np.zeros((E, 2, self.n))
+        D_top[..., :na] = ((system.robin * admittance_alpha_entries_from(df_top, self.mesh.H))
+                           [..., None] * ops.dVx[ws.top_at])
+        wq = system.robin * system.admittance
+        for a in range(2):
+            D_top[np.arange(E), :, na + ws.top_trace[:, a]] = wq * fem.EDGE_PHI[:, a]
+        G = top_edge_rows(tu, tw, D_top.reshape(2 * E, self.n))
         # fold[i, c] = (dS/dalpha_i) grad(u_k), component c, with the
         # triangle axis innermost
         fold = np.empty((na, 2, T))

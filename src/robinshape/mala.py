@@ -114,7 +114,7 @@ def mala_step(state: ChainState, adapt_state: AdaptState, target, rng,
     tau = adapt_state.tau
     C = adapt_state.chol_A
     if state.w_chol is not C:
-        state.w, state.w_chol = C.T @ state.grad, C
+        state.w, state.w_chol = state.grad @ C, C
     if xi is None:
         xi = rng.standard_normal(state.m.size)
     u = np.sqrt(2.0 * tau) * xi
@@ -126,16 +126,19 @@ def mala_step(state: ChainState, adapt_state: AdaptState, target, rng,
     log_ratio = math.nan
     if math.isfinite(J_prop) and grad_prop is not None:
         # a non-finite gradient makes the reverse term and the ratio non-finite
-        w_prop = C.T @ grad_prop
+        w_prop = grad_prop @ C
         r = step - tau * w_prop
         log_ratio = state.J - J_prop - (float(r @ r) - float(u @ u)) / (4.0 * tau)
-    # a NaN ratio would give min(1.0, nan) == 1.0 and push the step size up
+    # a NaN ratio would make a NaN acceptance probability and step size
     if not math.isfinite(log_ratio):
         state.n_invalid += 1
         return 0.0
-    accept_prob = float(min(1.0, np.exp(min(log_ratio, 0.0))))
+    accept_prob = 1.0 if log_ratio >= 0.0 else float(np.exp(log_ratio))
 
-    if np.log(rng.uniform()) < log_ratio:
+    # rng.random() is the value rng.uniform() draws, drawn at every valid
+    # step; log(uniform) < 0 <= log_ratio accepts without the logarithm
+    uniform = rng.random()
+    if log_ratio >= 0.0 or np.log(uniform) < log_ratio:
         state.m = proposal
         state.J = J_prop
         state.grad = grad_prop

@@ -49,7 +49,7 @@ def test_criterion_01_pushforward_invariance():
             ws = fem.FemWorkspace(mesh)
             beta = 0.8 + 0.5 * np.sin(2 * np.pi * ws.trace.s)
             ref = fem.forward(fem.assemble(ws, shape.eval(ws.x1), beta), fem.all_loads(ws, 8),
-                              fem.bottom_interpolator(ws, sensors))
+                              ws.sensor_operator(sensors))
             def_obs = fem.solve_deformed(mesh, shape, beta, 8, sensors)
             disc.append(np.linalg.norm(ref.y - def_obs.y) / np.linalg.norm(def_obs.y))
         finest.append(disc[-1])

@@ -15,7 +15,7 @@ def flat_shape(p=2):
 def forward(ws, system, n_loads, sensors=(0.5,)):
     """fem.forward for load patterns 1..n_loads, read at bottom-edge sensors."""
     return fem.forward(system, fem.all_loads(ws, n_loads),
-                       fem.bottom_interpolator(ws, sensors))
+                       ws.sensor_operator(sensors))
 
 
 def hand_stiffness(mesh):
@@ -109,7 +109,7 @@ def test_band_operator_matches_local_scatter(nx, ny, rng):
              + S12[:, None, None] * (gx[:, :, None] * gy[:, None, :]
                                      + gy[:, :, None] * gx[:, None, :])
              + S22[:, None, None] * gy[:, :, None] * gy[:, None, :])
-    m_loc = np.einsum("eg,ga,gb->eab", wq, fem._EDGE_PHI, fem._EDGE_PHI)
+    m_loc = np.einsum("eg,ga,gb->eab", wq, fem.EDGE_PHI, fem.EDGE_PHI)
     tri = mesh.triangles
     rows = np.concatenate([np.repeat(tri, 3, axis=1).ravel(),
                            np.repeat(ws.top_edges, 2, axis=1).ravel()])
@@ -133,7 +133,7 @@ def element_products(ws, U, V):
     Uf, Vf = np.zeros((2, mesh.n_nodes, k))
     Uf[ws.free], Vf[ws.free] = U, V
     grad = lambda X: np.einsum("tad,tak->tdk", ws.grads, X[mesh.triangles])
-    top = lambda X: np.einsum("ga,eak->egk", fem._EDGE_PHI, X[ws.top_edges])
+    top = lambda X: np.einsum("ga,eak->egk", fem.EDGE_PHI, X[ws.top_edges])
     gu, gv = grad(Uf), grad(Vf)
     ref = np.concatenate([
         np.sum(gu[:, 0] * gv[:, 0], axis=1),
@@ -362,7 +362,7 @@ def test_observe_layout_and_range_check():
     loads = fem.all_loads(ws, 2)
     loads[:, 1] = 1e308
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(fem.SolverError):
-        fem.forward(system, loads, fem.bottom_interpolator(ws, [0.5]))
+        fem.forward(system, loads, ws.sensor_operator([0.5]))
 
 
 def test_pushforward_invariance_moderate():

@@ -1,11 +1,13 @@
 import dataclasses
+import io
 import json
 import os
+import types
 
 import numpy as np
 import pytest
 
-from robinshape import cli, fem, harness, optimize
+from robinshape import cli, fem, harness, mala, optimize
 from robinshape.geometry import BoundaryShape, fourier_basis
 from robinshape.harness import (ConfigError, ExperimentConfig, MeshSpec,
                                 SyntheticDataset, build_problem, chain_csv,
@@ -231,7 +233,7 @@ def test_flat_truth_zero_noise_matches_reference_solve(tmp_path):
     shape = BoundaryShape(alpha=np.zeros(15), L=cfg.L, H=cfg.H)
     system = fem.assemble(ws, shape.eval(ws.x1), np.zeros(ws.trace.n_nodes))
     ref = fem.forward(system, fem.all_loads(ws, cfg.n_loads),
-                      fem.bottom_interpolator(ws, cfg.sensor_x1()))
+                      ws.sensor_operator(cfg.sensor_x1()))
     np.testing.assert_allclose(ds.y_noiseless, ref.y, atol=1e-12)
 
 
@@ -421,6 +423,71 @@ def test_chain_csv_values_roundtrip(small_pipeline):
     assert set(np.unique(payload[:, -1])).issubset({0.0, 1.0})
 
 
+def reference_chain_csv(names, samples, J_trace, accept_flags) -> str:
+    """chain.csv written one repr per value, row by row."""
+    lines = [",".join(names)]
+    for state, J, flag in zip(samples, J_trace, accept_flags):
+        lines.append(",".join([repr(float(v)) for v in state] + [repr(float(J)), repr(int(flag))]))
+    return "\n".join(lines) + "\n"
+
+
+def recorded_chain(accept_flags, n=5, seed=0, specials=(), kept=()):
+    """A ChainOutput whose state and J (column n) change exactly at the
+    accepted rows, as run_chain records them; specials sets (row, column,
+    value) in the state that row's run of rows carries, and an accepted row
+    in kept changes only those values."""
+    rng = np.random.default_rng(seed)
+    accept_flags = np.asarray(accept_flags, dtype=bool)
+    rows = np.empty((accept_flags.size, n + 1))
+    current = rng.standard_normal(n + 1)
+    for i, accepted in enumerate(accept_flags):
+        if accepted and i not in kept:
+            current = rng.standard_normal(n + 1)
+        for row, col, value in specials:
+            if row == i:
+                current[col] = value
+        rows[i] = current
+    return mala.ChainOutput(samples=rows[:, :n].copy(), J_trace=rows[:, n].copy(),
+                            accept_flags=accept_flags, acceptance_rate_trace=[],
+                            mcse=np.zeros(n), converged=False, n_burn_in=0,
+                            n_recorded=accept_flags.size, final_tau=0.1, n_invalid=0)
+
+
+def run_flags(n_rows, rejected_runs, seed=1):
+    """Accept flags that accept about half the steps, with the given
+    (start, stop) runs of rejections."""
+    flags = np.random.default_rng(seed).random(n_rows) < 0.5
+    for start, stop in rejected_runs:
+        flags[start:stop] = False
+    return flags
+
+
+@pytest.mark.parametrize("flags, specials, kept", [
+    # rejection runs across the block boundaries at rows 1024 and 2048
+    (run_flags(3000, [(1000, 1100), (2040, 2049)]), (), ()),
+    (run_flags(2049, [(1023, 1025), (2047, 2049)]), (), ()),
+    (np.zeros(2100, dtype=bool), (), ()),
+    (np.ones(1500, dtype=bool), (), ()),
+    # -0.0, then an accepted state that differs only by +0.0 there, which ==
+    # calls equal; the smallest subnormal, a value near the largest float
+    # and a J of -0.0, each repeated by rejections
+    (np.array([1, 0, 0, 1, 0, 1, 0, 0, 1, 0], dtype=bool),
+     [(0, 1, -0.0), (3, 1, 0.0), (5, 2, 5e-324), (5, 3, 1e308), (8, 5, -0.0)], (3,)),
+], ids=["runs-across-blocks", "runs-at-block-edges", "all-rejected", "all-accepted",
+        "special-values"])
+def test_chain_csv_is_the_per_value_repr_text(flags, specials, kept):
+    output = recorded_chain(flags, specials=specials, kept=kept)
+    problem = types.SimpleNamespace(n_alpha=2, q=3)
+    names = ["alpha_0", "alpha_1", "beta_1", "beta_2", "beta_3", "J", "accepted"]
+    text = chain_csv(problem, output)
+    assert text == reference_chain_csv(names, output.samples, output.J_trace,
+                                       output.accept_flags)
+    table = np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1, ndmin=2)
+    assert table[:, :5].tobytes() == output.samples.tobytes()
+    assert table[:, 5].tobytes() == output.J_trace.tobytes()
+    assert np.array_equal(table[:, 6], output.accept_flags)
+
+
 def test_desk_beta_skewness_matches_scipy_stats_skew(tmp_path):
     # scipy.stats stays out of the library; it is the oracle here
     from scipy import stats
@@ -590,6 +657,44 @@ def test_cli_diagnose(tmp_path, capsys):
 
 # -- operators shared by the problems of one configuration -------------------
 
+def dense_sensors(sensors: fem.Sensors) -> np.ndarray:
+    """The (n_sensors, n_free) operator that the row block stands for."""
+    dense = np.zeros((sensors.block.shape[0], sensors.n_free))
+    dense[:, sensors.rows] = sensors.block
+    return dense
+
+
+def hat_interpolation(ws, sensor_x1) -> np.ndarray:
+    """The P1 hat functions of the free nodes on the bottom edge at
+    sensor_x1, (n_sensors, n_free), from the uniform node spacing alone; it
+    rounds differently from the mesh's own coordinates, by up to 2e-14."""
+    x1, x2 = ws.mesh.nodes[ws.free].T
+    h = ws.mesh.L / ws.mesh.nx
+    hats = np.maximum(1.0 - np.abs(np.asarray(sensor_x1)[:, None] - x1) / h, 0.0)
+    return hats * (x2 == 0.0)
+
+
+def test_generate_data_reads_one_shared_sensor_block(tmp_path, monkeypatch):
+    cfg = ExperimentConfig.from_dict({"output_dir": str(tmp_path)})
+    read = []
+    forward = fem.forward
+    monkeypatch.setattr(fem, "forward", lambda system, loads, sensors: (
+        read.append(sensors), forward(system, loads, sensors))[1])
+    first = generate_data(cfg)
+    again = generate_data(cfg)
+    np.testing.assert_array_equal(first.y, again.y)
+    fine = fem.workspace(cfg.L, cfg.H, cfg.fine_mesh.nx, cfg.fine_mesh.ny)
+    sensors = fine.sensor_operator(cfg.sensor_x1())
+    assert len(read) == 2 and read[0] is read[1] is sensors
+    # two free rows per sensor on the desk's fine mesh, not all 2508
+    assert sensors.block.shape == (32, 64) and sensors.rows.shape == (64,)
+    for a in (sensors.rows, sensors.block):
+        with pytest.raises(ValueError):
+            a[0] = 0
+    np.testing.assert_allclose(dense_sensors(sensors), hat_interpolation(fine, cfg.sensor_x1()),
+                               rtol=0.0, atol=1e-13)
+
+
 def shared_operators(prob: Problem) -> dict:
     return {"B": prob.B, "loads": prob.loads, "basis": prob.basis, "prior": prob.prior}
 
@@ -598,9 +703,10 @@ def test_shared_operators_are_read_only(tmp_path):
     cfg = small_config(tmp_path)
     prob = build_problem(cfg, generate_data(cfg))
     fine = fem.workspace(cfg.L, cfg.H, cfg.fine_mesh.nx, cfg.fine_mesh.ny)
-    arrays = [prob.B, prob.BT, prob.loads, prob.prior_mean, prob.prior_precision,
-              prob.prior.chol_precision, fine.loads(cfg.n_loads),
-              fine.sensor_operator(cfg.sensor_x1())]
+    fine_sensors = fine.sensor_operator(cfg.sensor_x1())
+    arrays = [prob.B.rows, prob.B.block, prob.loads, prob.prior_mean, prob.prior_precision,
+              prob.prior.chol_precision, fine.loads(cfg.n_loads), fine_sensors.rows,
+              fine_sensors.block]
     arrays += [getattr(prob.basis, f.name) for f in dataclasses.fields(prob.basis)
                if f.name != "M22"]
     # the sparse quadrature block, through its storage
@@ -630,7 +736,8 @@ def test_configurations_share_only_equal_operators(tmp_path):
             assert (op is shared_operators(base)[name]) == (name not in names), (key, name)
         # and each operator of its own is the one its settings build
         ws = prob.ws
-        np.testing.assert_array_equal(prob.B, fem.bottom_interpolator(ws, c.sensor_x1()).toarray())
+        np.testing.assert_allclose(dense_sensors(prob.B), hat_interpolation(ws, c.sensor_x1()),
+                                   rtol=0.0, atol=1e-13)
         np.testing.assert_array_equal(prob.loads, fem.all_loads(ws, c.n_loads))
         np.testing.assert_array_equal(prob.basis.Vx, fourier_basis(c.p, c.L, ws.x1)[0])
         prior = joint_prior(build_alpha_prior(c.p, c.sigma_alpha2, c.s_alpha),

@@ -256,7 +256,7 @@ def test_top_edge_rows_match_per_load_gemms(nx, ny, rng):
     prob = small_problem(nx=nx, ny=ny, p=7, n_loads=8, n_sensors=32)
     ev = prob.potential(random_valid_parameters(prob, rng))
     tu = prob.ws.top_op @ ev.state.solutions
-    tw = prob.ws.top_op @ ev.state.system.solve(prob.BT)
+    tw = prob.ws.top_op @ ev.state.system.solve(prob.B.adjoint(np.eye(32)))
     D_top = rng.standard_normal((tu.shape[0], prob.n))
     ref = np.stack([tw.T @ (tu[:, k, None] * D_top) for k in range(tu.shape[1])])
     rows = inverse.top_edge_rows(tu, tw, D_top)

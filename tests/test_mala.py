@@ -7,6 +7,7 @@ import scipy.linalg as sla
 from scipy import stats
 
 from conftest import LinearGaussianProblem
+from robinshape import mala
 from robinshape.mala import (_T_OFFSET, ChainState, MalaSettings, adapt,
                              gelman_rubin, make_adapt_state, mala_step,
                              mcse_batch_means, mcse_halfwidth, run_chain,
@@ -379,3 +380,65 @@ def test_kept_whitened_gradient_matches_recomputed_step():
     for (ap, m, J, chol), (ap_ref, m_ref, J_ref, chol_ref) in zip(kept, recomputed):
         assert ap == ap_ref and J == J_ref
         assert np.array_equal(m, m_ref) and np.array_equal(chol, chol_ref)
+
+
+def reference_step(state, adapt_state, target, rng, xi=None):
+    """mala_step as it was written before its accept test was trimmed: C^T
+    grad through C.T, min and exp for every ratio, and rng.uniform()."""
+    tau = adapt_state.tau
+    C = adapt_state.chol_A
+    if state.w_chol is not C:
+        state.w, state.w_chol = C.T @ state.grad, C
+    if xi is None:
+        xi = rng.standard_normal(state.m.size)
+    u = np.sqrt(2.0 * tau) * xi
+    step = u - tau * state.w
+    proposal = state.m + C @ step
+    J_prop, grad_prop = target(proposal)
+    state.n_steps += 1
+    log_ratio = math.nan
+    if math.isfinite(J_prop) and grad_prop is not None:
+        w_prop = C.T @ grad_prop
+        r = step - tau * w_prop
+        log_ratio = state.J - J_prop - (float(r @ r) - float(u @ u)) / (4.0 * tau)
+    if not math.isfinite(log_ratio):
+        state.n_invalid += 1
+        return 0.0
+    accept_prob = float(min(1.0, np.exp(min(log_ratio, 0.0))))
+    if np.log(rng.uniform()) < log_ratio:
+        state.m = proposal
+        state.J = J_prop
+        state.grad = grad_prop
+        state.w = w_prop
+        state.n_accepted += 1
+    return accept_prob
+
+
+def test_run_chain_is_bitwise_the_reference_step(monkeypatch):
+    # the trimmed accept test (rng.random(), grad @ C, no exp for a ratio
+    # of at least one) changes no bit of a chain, an invalid proposal included
+    rng = np.random.default_rng(31)
+    n = 12
+    B = rng.standard_normal((n, n))
+    gaussian = gaussian_target(rng.standard_normal(n), B @ B.T / n + 0.5 * np.eye(n))
+
+    def run():
+        calls = []
+
+        def target(m):
+            calls.append(None)
+            # one proposal whose potential overflowed
+            return (np.inf, None) if len(calls) == 40 else gaussian(m)
+
+        return run_chain(np.zeros(n), np.eye(n) / n, target, np.random.default_rng(8),
+                         burn_in=200, max_steps=1000, check_interval=500, refresh_every=50)
+
+    out = run()
+    monkeypatch.setattr(mala, "mala_step", reference_step)
+    ref = run()
+    assert out.n_invalid == ref.n_invalid == 1
+    assert 0.2 < out.acceptance_rate < 0.95  # ratios above and below one
+    assert out.samples.tobytes() == ref.samples.tobytes()
+    assert out.J_trace.tobytes() == ref.J_trace.tobytes()
+    assert np.array_equal(out.accept_flags, ref.accept_flags)
+    assert out.final_tau == ref.final_tau and out.converged == ref.converged

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import subprocess
 from pathlib import Path
 
@@ -47,3 +48,41 @@ def test_bench_pair_creates_its_out_dir_before_the_first_run(tmp_path, monkeypat
                             "--workloads", "map-laplace", "--traced",
                             "--out-dir", str(out)]) == 0
     assert sorted(p.name for p in out.iterdir()) == ["BENCH_x-parent.json", "BENCH_x.json"]
+
+
+def bench_doc(label, op_s, rss, traced_op_s):
+    """A BENCH document of mala-desk runs with the given op_s and peak_rss_mb
+    per seed 1, 2, ..., plus one traced run and one run that returned nothing."""
+    def run(seed, trace, op, mb):
+        metrics = {"op_s": {"value": op, "unit": "s"}, "peak_rss_mb": {"value": mb, "unit": "MB"}}
+        return {"workload": "mala-desk", "seed": seed, "trace": trace, "command": "", "exit": 0,
+                "result": {"correct": True, "metrics": metrics}}
+    runs = [run(seed, 0, op, mb) for seed, (op, mb) in enumerate(zip(op_s, rss), start=1)]
+    runs.append(run(1, 1, traced_op_s, 1.0))
+    runs.append({"workload": "mala-desk", "seed": 99, "trace": 0, "command": "", "exit": 1,
+                 "result": None})
+    return {"label": label, "git_sha": "0" * 40, "runs": runs}
+
+
+def test_bench_pair_summarizes_two_bench_files(tmp_path, capsys):
+    bench_pair = load_bench_pair()
+    parent = bench_doc("x-parent", [0.40, 0.44, 0.42, 0.48, 0.46], [80.0] * 5, 9.0)
+    change = bench_doc("x", [0.36, 0.40, 0.45, 0.38, 0.37], [80.5] * 5, 0.0)
+    table = bench_pair.summary(parent, change, [("op_s", "lower"), ("peak_rss_mb", "lower")])
+    header, op_s, rss = table.splitlines()
+    # the traced run and the run without a result take no part; quartiles
+    # are the inclusive ones of the five untraced runs
+    assert op_s.split() == ["mala-desk", "op_s", "0.44", "(0.42-0.46)", "0.38", "(0.37-0.4)",
+                            "-13.6%", "4/5"]
+    assert rss.split() == ["mala-desk", "peak_rss_mb", "80", "(80-80)", "80.5", "(80.5-80.5)",
+                           "+0.6%", "0/5"]
+    assert "pairs won" in header
+    # --summarize reads the two files and runs nothing
+    paths = []
+    for doc in (parent, change):
+        paths.append(tmp_path / f"BENCH_{doc['label']}.json")
+        paths[-1].write_text(json.dumps(doc))
+    assert bench_pair.main(["--summarize", *map(str, paths)]) == 0
+    printed = capsys.readouterr().out
+    assert "mala-desk       op_s" in printed and "4/5" in printed
+    assert "setup_s" not in printed  # no run carries it

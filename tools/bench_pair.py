@@ -4,6 +4,7 @@
         [--change CHANGE_CHECKOUT] [--seeds 31 32 33] [--seconds 25] \
         [--workloads map-laplace mala-desk mala-surrogate] \
         [--traced mala-desk:31] [--machine "2-core shared VM"] [--out-dir .]
+    python3 tools/bench_pair.py --summarize BENCH_NAME-parent.json BENCH_NAME.json
 
 For every seed and workload it runs ``perfbench/run.py`` once in each
 checkout, parent and change alternating which goes first, and keeps the last
@@ -16,10 +17,17 @@ this script sits in.  Both checkouts must be git checkouts; a checkout with
 uncommitted changes is recorded with ``"git_dirty": true``.  The SHAs are
 read and ``--out-dir`` is created before the first run, so a bad checkout
 or output path stops the script before it has run anything.
+
+At the end of a run, and for two committed files with ``--summarize``, it
+prints one line per workload and end-to-end metric of ``BENCHMARK.json``:
+each side's median and quartiles over the untraced runs, the relative change
+of the medians, and in how many of the pairs (the two sides' runs of one
+workload and seed) the change was better.
 """
 import argparse
 import json
 import platform
+import statistics
 import subprocess
 import sys
 from importlib.metadata import version
@@ -49,11 +57,57 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: in
             "exit": done.returncode, "result": result}
 
 
+def end_to_end_metrics() -> list:
+    """(name, better) of the end-to-end metrics that BENCHMARK.json declares."""
+    spec = json.loads((Path(__file__).resolve().parent.parent / "BENCHMARK.json").read_text())
+    return [(m["name"], m["better"]) for m in spec["end_to_end"]]
+
+
+def metric_values(doc: dict, metric: str) -> dict:
+    """{(workload, seed): value} of metric over the doc's untraced runs that
+    returned a result."""
+    values = {}
+    for run in doc["runs"]:
+        value = ((run["result"] or {}).get("metrics", {}).get(metric) or {}).get("value")
+        if run["trace"] == 0 and value is not None:
+            values[run["workload"], run["seed"]] = value
+    return values
+
+
+def spread(values: list) -> str:
+    """median (first quartile-third quartile)."""
+    q1, median, q3 = (statistics.quantiles(values, n=4, method="inclusive")
+                      if len(values) > 1 else values * 3)
+    return f"{median:.5g} ({q1:.5g}-{q3:.5g})"
+
+
+def summary(parent: dict, change: dict, metrics: list) -> str:
+    """The table of each workload's end-to-end metrics, parent against change."""
+    lines = [f"{'workload':15s} {'metric':12s} {'parent median (quartiles)':28s} "
+             f"{'change median (quartiles)':28s} {'change':>8s}  pairs won"]
+    workloads = sorted({run["workload"] for run in parent["runs"] + change["runs"]})
+    for workload in workloads:
+        for metric, better in metrics:
+            before, after = (metric_values(doc, metric) for doc in (parent, change))
+            keys = sorted(k for k in before.keys() & after.keys() if k[0] == workload)
+            if not keys:
+                continue
+            old, new = [before[k] for k in keys], [after[k] for k in keys]
+            sign = -1.0 if better == "lower" else 1.0
+            won = sum(sign * (b - a) > 0 for a, b in zip(old, new))
+            rel = statistics.median(new) / statistics.median(old) - 1.0
+            lines.append(f"{workload:15s} {metric:12s} {spread(old):28s} {spread(new):28s} "
+                         f"{rel:+8.1%}  {won}/{len(keys)}")
+    return "\n".join(lines)
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--parent", type=Path, required=True)
+    ap.add_argument("--summarize", nargs=2, type=Path, metavar=("PARENT_JSON", "CHANGE_JSON"),
+                    help="print the summary of two BENCH files and run nothing")
+    ap.add_argument("--parent", type=Path)
     ap.add_argument("--change", type=Path, default=Path(__file__).resolve().parent.parent)
-    ap.add_argument("--label", required=True)
+    ap.add_argument("--label")
     ap.add_argument("--seeds", type=int, nargs="+", default=[31, 32, 33])
     ap.add_argument("--seconds", type=float, default=25.0)
     ap.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
@@ -62,6 +116,12 @@ def main(argv=None) -> int:
     ap.add_argument("--machine", default=f"{platform.machine()} host")
     ap.add_argument("--out-dir", type=Path, default=Path("."))
     args = ap.parse_args(argv)
+    if args.summarize:
+        parent, change = (json.loads(path.read_text()) for path in args.summarize)
+        print(summary(parent, change, end_to_end_metrics()))
+        return 0
+    if args.parent is None or args.label is None:
+        ap.error("--parent and --label are required unless --summarize is given")
 
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     # everything that can fail outside the runs is settled before the first
@@ -95,6 +155,7 @@ def main(argv=None) -> int:
         path = args.out_dir / f"BENCH_{doc['label']}.json"
         path.write_text(json.dumps(doc, indent=1) + "\n")
         print(f"wrote {path}", file=sys.stderr)
+    print(summary(docs["parent"], docs["change"], end_to_end_metrics()))
     return 0
 
 
