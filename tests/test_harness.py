@@ -678,8 +678,12 @@ def test_generate_data_reads_one_shared_sensor_block(tmp_path, monkeypatch):
     cfg = ExperimentConfig.from_dict({"output_dir": str(tmp_path)})
     read = []
     forward = fem.forward
-    monkeypatch.setattr(fem, "forward", lambda system, loads, sensors: (
-        read.append(sensors), forward(system, loads, sensors))[1])
+
+    def reading_forward(system, loads, sensors):
+        read.append(sensors)
+        return forward(system, loads, sensors)
+
+    monkeypatch.setattr(fem, "forward", reading_forward)
     first = generate_data(cfg)
     again = generate_data(cfg)
     np.testing.assert_array_equal(first.y, again.y)
