@@ -89,8 +89,9 @@ class FemWorkspace:
         self.quad_pts = 0.5 * (p + np.roll(p, -1, axis=1))  # (T, 3, 2)
 
         self.trace = trace_of_top(mesh)
-        self.top_edges = self._sorted_edges(mesh.edge_groups["top"])
-        self.bottom_edges = self._sorted_edges(mesh.edge_groups["bottom"])
+        # (left node, right node), sorted by x1, as build_slab_mesh emits them
+        self.top_edges = mesh.edge_groups["top"]
+        self.bottom_edges = mesh.edge_groups["bottom"]
         # the trace nodes (E, 2) at the ends of each top edge: point g of
         # edge e carries sum_a EDGE_PHI[g, a] beta[top_trace[e, a]]
         to_trace = np.full(mesh.n_nodes, -1)
@@ -151,8 +152,7 @@ class FemWorkspace:
             raise ValueError("sensor locations must lie in [0, L]")
 
         def build():
-            bottom = np.unique(self.bottom_edges)
-            bottom = bottom[np.argsort(self.mesh.nodes[bottom, 0])]
+            bottom = np.unique(self.bottom_edges)  # numbered in x1 order
             xs = self.mesh.nodes[bottom, 0]
             seg = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, xs.size - 2)
             t = (x - xs[seg]) / (xs[seg + 1] - xs[seg])
@@ -276,14 +276,6 @@ class FemWorkspace:
             buf[:-d] += v[:-d] * u[d:]
             p[self.band_u - d, d:] = ones @ buf.reshape(k, n)[:, :n - d]
         return p.ravel()
-
-    def _sorted_edges(self, edges: np.ndarray) -> np.ndarray:
-        # orient each edge so x1 increases, then order edges by x1
-        x1 = self.mesh.nodes[:, 0]
-        edges = edges.copy()
-        flip = x1[edges[:, 0]] > x1[edges[:, 1]]
-        edges[flip] = edges[flip][:, ::-1]
-        return edges[np.argsort(x1[edges[:, 0]])]
 
     def edge_quad(self, edges: np.ndarray):
         """Quadrature x1-coordinates (E, 2) and reference lengths (E,) of edges."""
@@ -409,7 +401,9 @@ def assemble(ws: FemWorkspace, profile, beta: np.ndarray) -> AssembledSystem:
         raise InvalidShapeError("height profile f is not finite and positive "
                                 "at the quadrature abscissae")
     inv_f = 1.0 / f
-    robin = np.exp(beta[ws.top_trace] @ EDGE_PHI.T) * ws.top_lw
+    # an overflowed exp(beta) is rejected by _factor's finite-band check
+    with np.errstate(over="ignore"):
+        robin = np.exp(beta[ws.top_trace] @ EDGE_PHI.T) * ws.top_lw
     admittance = admittance_factor_from(df[ws.top_at], ws.mesh.H)
     wq = robin * admittance
     band, chol = _factor(ws, ws.F @ np.concatenate([f, df, inv_f, df * df * inv_f, wq.ravel()]))
@@ -445,7 +439,9 @@ def solve_deformed(mesh: SlabMesh, shape, beta: np.ndarray, n_loads: int,
 
     The structured slab mesh is stretched vertically so that node row j sits
     at height H * f(x1) * j / ny, and the isotropic problem is assembled on
-    that geometry with exp(beta) on the (slanted) top edge.
+    that geometry with exp(beta) on the (slanted) top edge.  The stretched
+    copy shares the mesh's edge arrays, and x1 is unchanged, so its edges
+    keep their order.
     """
     nodes = mesh.nodes.copy()
     f, _ = shape.eval(nodes[:, 0])

@@ -393,25 +393,21 @@ class McmcResult:
 
 def chain_csv(problem: Problem, output: mala.ChainOutput) -> str:
     """chain.csv, the text `table_csv` writes for the columns of the states,
-    J and the accepted flag.  A rejected step repeats the state before it,
-    so a row whose state and J are bitwise those of the row above reuses
-    their text, and each state is formatted once."""
+    J and the accepted flag.  A rejected step leaves the state and J as they
+    were, so a row whose flag is 0 repeats the row above and reuses its
+    text: only the first row and the accepted rows are formatted."""
     names = [f"alpha_{i}" for i in range(problem.n_alpha)]
     names += [f"beta_{j + 1}" for j in range(problem.q)]
     lines = [",".join(names + ["J", "accepted"])]
     flags = output.accept_flags.astype(int)
+    new = output.accept_flags.astype(bool)
+    new[:1] = True
     text = None
     for i in range(0, len(output.samples), 1024):
-        # the block and the row above it, compared by their bits, so that
-        # -0.0 is not taken for 0.0 nor one NaN for another
-        lo = max(i - 1, 0)
-        rows = np.column_stack([output.samples[lo:i + 1024], output.J_trace[lo:i + 1024]])
-        bits = rows.view(np.int64)
-        new = np.any(bits[1:] != bits[:-1], axis=1)
-        if i == 0:
-            new = np.concatenate([[True], new])
-        fresh = iter(rows[i - lo:][new].tolist())
-        for is_new, flag in zip(new.tolist(), flags[i:i + 1024].tolist()):
+        block = slice(i, i + 1024)
+        rows = np.column_stack([output.samples[block], output.J_trace[block]])
+        fresh = iter(rows[new[block]].tolist())
+        for is_new, flag in zip(new[block].tolist(), flags[block].tolist()):
             if is_new:
                 text = ",".join(map(repr, next(fresh)))
             lines.append(f"{text},{flag!r}")

@@ -188,6 +188,8 @@ class Problem:
             return self._kept[1]
         m = np.array(m, dtype=float)
         try:
+            if not np.isfinite(m).all():  # rejected before anything is assembled
+                raise InvalidShapeError("parameters are not finite")
             state = self.forward(m)
         except (InvalidShapeError, fem.SolverError):
             ev = PotentialEvaluation(J=np.inf, misfit=np.inf, prior=np.nan)

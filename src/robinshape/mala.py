@@ -69,15 +69,14 @@ class ChainState:
 
 @dataclass
 class AdaptState:
-    """Proposal covariance A (with lower Cholesky factor) and log step size,
-    adapted with diminishing weights t^(-settings.adapt_exponent).
+    """Proposal covariance A = chol_A chol_A^T, kept as the factor the step
+    reads, and log step size, adapted with weights t^(-settings.adapt_exponent).
 
     mean and log_tau change at every step, cov only at a refresh (every
     k = settings.refresh_every steps): the deviations x_t - mean_t wait as the
     rows of ``deviations`` = D, and the refresh applies the exact identity
     (t + T0) cov_t = (t + T0 - k) cov_{t-k} + D^T D of the per-step recursion."""
 
-    A: np.ndarray
     chol_A: np.ndarray
     log_tau: float
     mean: np.ndarray
@@ -93,11 +92,11 @@ class AdaptState:
 
 def make_adapt_state(A_init: np.ndarray, mean_init: np.ndarray,
                      settings: MalaSettings) -> AdaptState:
-    A = np.asarray(A_init, dtype=float).copy()
-    return AdaptState(A=A, chol_A=sla.cholesky(A, lower=True),
+    cov = np.asarray(A_init, dtype=float).copy()
+    return AdaptState(chol_A=sla.cholesky(cov, lower=True),
                       log_tau=float(np.log(settings.tau_init)),
-                      mean=np.asarray(mean_init, dtype=float).copy(), cov=A.copy(),
-                      deviations=np.empty((settings.refresh_every, A.shape[0])),
+                      mean=np.asarray(mean_init, dtype=float).copy(), cov=cov,
+                      deviations=np.empty((settings.refresh_every, cov.shape[0])),
                       settings=settings)
 
 
@@ -176,13 +175,10 @@ def refresh_proposal(adapt_state: AdaptState):
     eps = 1e-10 * np.trace(adapt_state.cov) / n
     while True:
         try:
-            A = adapt_state.cov + eps * np.eye(n)
-            chol = sla.cholesky(A, lower=True)
-            break
+            adapt_state.chol_A = sla.cholesky(adapt_state.cov + eps * np.eye(n), lower=True)
+            return
         except sla.LinAlgError:
             eps *= 100.0
-    adapt_state.A = A
-    adapt_state.chol_A = chol
 
 
 def mcse_batch_means(samples: np.ndarray) -> np.ndarray:

@@ -14,9 +14,11 @@ class InvalidMeshError(Exception):
 class SlabMesh:
     """Triangulation of the reference slab (0,L) x (0,H).
 
-    nodes: (N, 2) coordinates.
+    nodes: (N, 2) coordinates; each grid row's nodes are numbered in x1 order.
     triangles: (T, 3) node indices, counter-clockwise.
-    edge_groups: maps 'bottom' / 'top' / 'sides' to (E, 2) boundary edge arrays.
+    edge_groups: maps 'bottom' / 'top' / 'sides' to (E, 2) boundary edge
+    arrays; every bottom and top edge is (left node, right node), and the
+    edges are sorted by x1.
     """
 
     nodes: np.ndarray
@@ -51,7 +53,9 @@ def build_slab_mesh(L: float, H: float, nx: int, ny: int) -> SlabMesh:
     """Build a structured right-triangle grid of (nx+1) x (ny+1) nodes.
 
     Each grid cell is split along the same diagonal; boundary edges are
-    tagged bottom / top / sides.
+    tagged bottom / top / sides.  Node j (nx + 1) + i is column i of row j,
+    so each row is numbered in x1 order; the bottom and top edges are
+    (left node, right node), sorted by x1, and the workspace reads them so.
     """
     if L <= 0 or H <= 0:
         raise ValueError(f"slab dimensions must be positive, got L={L}, H={H}")
@@ -97,11 +101,10 @@ def triangle_areas(mesh: SlabMesh) -> np.ndarray:
 
 
 def trace_of_top(mesh: SlabMesh) -> TraceMesh:
-    """Extract the top-edge trace mesh, ordered by x1."""
+    """Extract the top-edge trace mesh, ordered by x1: the top row's nodes,
+    which `build_slab_mesh` numbers in x1 order."""
     top = mesh.edge_groups.get("top")
     if top is None or len(top) == 0:
         raise InvalidMeshError("mesh has no tagged top edges")
-    node_ids = np.unique(top)
-    order = np.argsort(mesh.nodes[node_ids, 0])
-    parents = node_ids[order]
+    parents = np.unique(top)
     return TraceMesh(s=mesh.nodes[parents, 0].copy(), parent_nodes=parents)

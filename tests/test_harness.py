@@ -413,14 +413,13 @@ def test_run_mcmc_artifacts(small_pipeline):
     assert header[-2:] == ["J", "accepted"]
     assert mc.chain.n_recorded == cfg.mala.max_steps  # tiny budget: cap reached
     assert not mc.chain.converged
-
-
-def test_chain_csv_values_roundtrip(small_pipeline):
-    cfg, ds, map_result = small_pipeline
-    path = os.path.join(cfg.output_dir, "chain.csv")
-    payload = np.loadtxt(path, delimiter=",", skiprows=1)
-    assert payload.shape[1] == map_result.problem.n + 2
-    assert set(np.unique(payload[:, -1])).issubset({0.0, 1.0})
+    # the table parses back to the recorded chain bitwise
+    table = np.loadtxt(os.path.join(out, "chain.csv"), delimiter=",", skiprows=1, ndmin=2)
+    assert table.shape == (mc.chain.n_recorded, n + 2)
+    assert table[:, :n].tobytes() == mc.chain.samples.tobytes()
+    assert table[:, n].tobytes() == mc.chain.J_trace.tobytes()
+    assert np.array_equal(table[:, n + 1], mc.chain.accept_flags)
+    assert 0 < mc.chain.accept_flags.sum() < mc.chain.n_recorded
 
 
 def reference_chain_csv(names, samples, J_trace, accept_flags) -> str:
@@ -473,8 +472,10 @@ def run_flags(n_rows, rejected_runs, seed=1):
     # and a J of -0.0, each repeated by rejections
     (np.array([1, 0, 0, 1, 0, 1, 0, 0, 1, 0], dtype=bool),
      [(0, 1, -0.0), (3, 1, 0.0), (5, 2, 5e-324), (5, 3, 1e308), (8, 5, -0.0)], (3,)),
+    # accepted rows whose state and J are bitwise those of the row above
+    (np.array([1, 0, 1, 1, 0, 1], dtype=bool), (), (2, 3)),
 ], ids=["runs-across-blocks", "runs-at-block-edges", "all-rejected", "all-accepted",
-        "special-values"])
+        "special-values", "accepted-repeat"])
 def test_chain_csv_is_the_per_value_repr_text(flags, specials, kept):
     output = recorded_chain(flags, specials=specials, kept=kept)
     problem = types.SimpleNamespace(n_alpha=2, q=3)

@@ -103,7 +103,7 @@ def test_drift_only_proposal():
     ad = make_adapt_state(np.diag([2.0, 0.5]), np.zeros(2), MalaSettings(tau_init=0.05))
     m0 = np.array([3.0, 3.0])
     state = fresh_state(m0, target)
-    expected = m0 - ad.tau * ad.A @ state.grad
+    expected = m0 - ad.tau * (ad.chol_A @ ad.chol_A.T) @ state.grad
     ap = mala_step(state, ad, target, rng, xi=np.zeros(2))
     assert state.n_accepted == 1  # downhill drift with small tau is accepted
     np.testing.assert_allclose(state.m, expected, rtol=1e-14)
@@ -188,7 +188,7 @@ def test_covariance_adaptation_converges():
                           MalaSettings(tau_init=0.1, refresh_every=100))
     for _ in range(100_000):
         adapt(ad, L @ rng.standard_normal(2), accept_prob=0.574)
-    err = np.linalg.norm(ad.A - C_true) / np.linalg.norm(C_true)
+    err = np.linalg.norm(ad.chol_A @ ad.chol_A.T - C_true) / np.linalg.norm(C_true)
     assert err < 0.05
 
 
@@ -216,8 +216,7 @@ def test_batched_covariance_update_is_exact():
         if t % k == 0:
             assert rel(ad.cov, cov) <= 1e-12
             A = cov + 1e-10 * np.trace(cov) / n * np.eye(n)
-            assert rel(ad.A, A) <= 1e-12
-            np.testing.assert_allclose(ad.chol_A @ ad.chol_A.T, ad.A, rtol=1e-12)
+            assert rel(ad.chol_A @ ad.chol_A.T, A) <= 1e-12
         else:
             np.testing.assert_array_equal(ad.cov, cov_before)
     assert ad.t == 1050 and rel(ad.cov, cov) > 1e-6  # the last 50 still wait
@@ -442,3 +441,26 @@ def test_run_chain_is_bitwise_the_reference_step(monkeypatch):
     assert out.J_trace.tobytes() == ref.J_trace.tobytes()
     assert np.array_equal(out.accept_flags, ref.accept_flags)
     assert out.final_tau == ref.final_tau and out.converged == ref.converged
+
+
+def test_rejected_rows_repeat_the_row_above():
+    # a rejected step, an invalid proposal included, leaves the state and J
+    # untouched, so every recorded row after the first whose flag is 0 is
+    # bitwise the row above: chain_csv reuses that row's text
+    n = 4
+    gaussian = gaussian_target(np.zeros(n), np.eye(n))
+    calls = []
+
+    def target(m):
+        calls.append(None)
+        # every seventh proposal is invalid: an overflowed potential
+        return (np.inf, None) if len(calls) % 7 == 0 else gaussian(m)
+
+    out = run_chain(np.zeros(n), np.eye(n), target, np.random.default_rng(3),
+                    burn_in=50, max_steps=600, check_interval=600, refresh_every=20)
+    assert out.n_invalid >= 600 // 7
+    flags = out.accept_flags
+    assert 0 < flags.sum() < flags.size
+    rows = np.column_stack([out.samples, out.J_trace])
+    repeated = np.flatnonzero(~flags[1:]) + 1
+    assert rows[repeated].tobytes() == rows[repeated - 1].tobytes()

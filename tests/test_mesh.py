@@ -1,6 +1,9 @@
+import types
+
 import numpy as np
 import pytest
 
+from robinshape import fem
 from robinshape.mesh import (InvalidMeshError, SlabMesh, build_slab_mesh,
                              trace_of_top, triangle_areas)
 
@@ -98,3 +101,37 @@ def test_trace_requires_top_group():
                         L=mesh.L, H=mesh.H, nx=mesh.nx, ny=mesh.ny)
     with pytest.raises(InvalidMeshError):
         trace_of_top(stripped)
+
+
+def stretched(mesh, monkeypatch):
+    """The stretched copy of mesh that fem.solve_deformed assembles on,
+    taken from the workspace it builds."""
+    meshes = []
+
+    class Recording(fem.FemWorkspace):
+        def __init__(self, m):
+            meshes.append(m)
+            super().__init__(m)
+
+    monkeypatch.setattr(fem, "FemWorkspace", Recording)
+    shape = types.SimpleNamespace(eval=lambda x: (1.0 - 0.3 * np.sin(np.pi * x), None))
+    fem.solve_deformed(mesh, shape, np.zeros(mesh.nx + 1), 1, [0.5])
+    (deformed,) = meshes
+    assert not np.array_equal(deformed.nodes, mesh.nodes)
+    return deformed
+
+
+@pytest.mark.parametrize("nx, ny", [(24, 3), (77, 7), (229, 10)])
+@pytest.mark.parametrize("deformed", [False, True], ids=["slab", "stretched"])
+def test_bottom_and_top_edges_in_x1_order(nx, ny, deformed, monkeypatch):
+    # the workspace, the trace and the sensors read these orders unsorted
+    mesh = build_slab_mesh(1.0, 0.05, nx, ny)
+    if deformed:
+        mesh = stretched(mesh, monkeypatch)
+    x1 = mesh.nodes[:, 0]
+    for group in ("bottom", "top"):
+        edges = mesh.edge_groups[group]
+        assert edges.shape == (nx, 2)
+        assert np.all(x1[edges[:, 0]] < x1[edges[:, 1]])  # (left node, right node)
+        assert np.all(np.diff(x1[edges[:, 0]]) > 0)      # sorted by x1
+        assert np.all(np.diff(x1[np.unique(edges)]) > 0)  # nodes numbered in x1 order
