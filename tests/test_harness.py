@@ -393,9 +393,14 @@ def test_run_map_assembles_each_line_search_point_once(tmp_path, monkeypatch):
     assert len(assemblies) == len(evaluations) + 1
 
 
-def test_run_mcmc_artifacts(small_pipeline):
+@pytest.fixture(scope="module")
+def small_mcmc(small_pipeline):
     cfg, ds, map_result = small_pipeline
-    mc = run_mcmc(cfg, ds, map_result)
+    return cfg, map_result, run_mcmc(cfg, ds, map_result)
+
+
+def test_run_mcmc_artifacts(small_mcmc):
+    cfg, map_result, mc = small_mcmc
     out = cfg.output_dir
     with open(os.path.join(out, "mcmc_summary.json")) as fh:
         summary = json.load(fh)
@@ -413,8 +418,14 @@ def test_run_mcmc_artifacts(small_pipeline):
     assert header[-2:] == ["J", "accepted"]
     assert mc.chain.n_recorded == cfg.mala.max_steps  # tiny budget: cap reached
     assert not mc.chain.converged
+
+
+def test_chain_csv_values_roundtrip(small_mcmc):
     # the table parses back to the recorded chain bitwise
-    table = np.loadtxt(os.path.join(out, "chain.csv"), delimiter=",", skiprows=1, ndmin=2)
+    cfg, map_result, mc = small_mcmc
+    n = map_result.problem.n
+    table = np.loadtxt(os.path.join(cfg.output_dir, "chain.csv"), delimiter=",",
+                       skiprows=1, ndmin=2)
     assert table.shape == (mc.chain.n_recorded, n + 2)
     assert table[:, :n].tobytes() == mc.chain.samples.tobytes()
     assert table[:, n].tobytes() == mc.chain.J_trace.tobytes()
