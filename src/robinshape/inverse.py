@@ -12,12 +12,13 @@ derivative of the system matrix by two independent reductions:
   through the transpose of the fused operator `FemWorkspace.F`, then by the
   chain rule to the profile on the slab's abscissae, where the Fourier basis
   is cached, and through the interpolation of beta to the top-edge points;
-- the Jacobian folds each load's solution into the derivative of the
-  assembly coefficients on the elements, as (n_alpha, 2, T) with the
-  triangle axis innermost on the volume, and contracts the folds with the
-  n_sensors sensor adjoints (32 solves at the default size, where the direct
-  sensitivity method needed n * n_loads = 744) in one GEMM per load; the top
-  edge takes one GEMM for all loads.
+- the Jacobian pairs the loads' solutions with the n_sensors sensor
+  adjoints (32 solves at the default size, where the direct sensitivity
+  method needed n * n_loads = 744) on the elements: each load's gradients,
+  folded by two einsums into one (n_alpha, 2, T) buffer of the volume
+  coefficients' derivatives, go into one GEMM per load; the top edge's
+  point products take one GEMM on the alpha columns and reach beta through
+  the interpolation's two nonzeros per point.
 
 The gradient has one load-summed pair, the Jacobian 32 pairs per load.  On a
 2-core VM with one BLAS thread a band transpose took the desk gradient
@@ -77,25 +78,29 @@ class FourierOperators:
     Vx and dVx are the basis and its derivative at the abscissae ws.x1, Vs
     the basis at the trace nodes.  The Jacobian's volume alpha-derivatives
     are the volume quadrature M (`fem.FemWorkspace.quadrature_operator`)
-    times the features' partials times the basis: D11t and D12t (n_alpha, T)
-    of S11 and S12 are constant, and that of S22 is formed per call from
-    M22, M's S22 block over the [1/f, df^2/f] columns."""
+    times the features' partials times the basis, each (n_alpha, T): D1
+    stacks the constant ones of S11 and S12, [D11t, D12t], on a component
+    axis (n_alpha, 2, T), and `D2` stacks [D12t, D22] per call, with that of
+    S22 from M22, M's S22 block over the [1/f, df^2/f] columns."""
 
     Vx: np.ndarray
     dVx: np.ndarray
     Vs: np.ndarray
-    D11t: np.ndarray
-    D12t: np.ndarray
+    D1: np.ndarray
     M22: sp.csr_matrix
 
-    def s22_derivative(self, f: np.ndarray, df: np.ndarray) -> np.ndarray:
-        """(n_alpha, T): the alpha-derivative of S22 at the profile (f, df),
-        M22 times the partials of 1/f and df^2/f, as in the gradient."""
+    def D2(self, f: np.ndarray, df: np.ndarray) -> np.ndarray:
+        """(n_alpha, 2, T): [D12t, D22] at the profile (f, df), D22 the
+        alpha-derivative of S22, M22 times the partials of 1/f and df^2/f,
+        as in the gradient."""
         inv_f = 1.0 / f
         a = -inv_f * inv_f
-        return np.ascontiguousarray((self.M22 @ np.concatenate([
+        D = np.empty(self.D1.shape)
+        D[:, 0] = self.D1[:, 1]
+        D[:, 1] = (self.M22 @ np.concatenate([
             a[:, None] * self.Vx,
-            (a * df * df)[:, None] * self.Vx + (2.0 * df * inv_f)[:, None] * self.dVx])).T)
+            (a * df * df)[:, None] * self.Vx + (2.0 * df * inv_f)[:, None] * self.dVx])).T
+        return D
 
 
 def fourier_operators(ws: fem.FemWorkspace, p: int) -> FourierOperators:
@@ -106,18 +111,34 @@ def fourier_operators(ws: fem.FemWorkspace, p: int) -> FourierOperators:
         M = ws.quadrature_operator()
         return FourierOperators(
             Vx=Vx, dVx=dVx, Vs=fourier_basis(p, ws.mesh.L, ws.trace.s)[0],
-            D11t=np.ascontiguousarray((M[:T, :nx] @ Vx).T),
-            D12t=np.ascontiguousarray((M[T:2 * T, nx:2 * nx] @ dVx).T),
+            D1=np.ascontiguousarray(np.stack([M[:T, :nx] @ Vx, M[T:2 * T, nx:2 * nx] @ dVx],
+                                             axis=1).T),
             M22=M[2 * T:, 2 * nx:])
     return ws.memo(("fourier", p), build)
 
 
-def top_edge_rows(tu: np.ndarray, tw: np.ndarray, D_top: np.ndarray) -> np.ndarray:
-    """(K, S, n): entry (k, s) is sum_e tu[e, k] tw[e, s] D_top[e] over the
-    top-edge points e, for the point values tu (2E, K) of the loads' solutions
-    and tw (2E, S) of the sensor adjoints; one GEMM for every pair."""
-    pairs = np.multiply(tu.T[:, None, :], tw.T[None, :, :])
-    return (pairs.reshape(-1, tu.shape[0]) @ D_top).reshape(tu.shape[1], tw.shape[1], -1)
+def top_edge_rows(ws: fem.FemWorkspace, system: fem.AssembledSystem, dVx: np.ndarray,
+                  tu: np.ndarray, tw: np.ndarray) -> np.ndarray:
+    """(n, K S): column k S + s is sum_e tu[e, k] tw[e, s] dwq[e]/dm over the
+    top-edge points e, for the point values tu (2E, K) of the loads'
+    solutions and tw (2E, S) of the sensor adjoints, and the Robin weights
+    wq = robin * admittance.  The alpha rows are one GEMM of the point
+    products with the admittance factor's derivative times dVx; the beta
+    rows go back through the interpolation of beta onto the points, two
+    trace nodes per point, a sparse (q, 2E) operator built once per
+    workspace."""
+    pairs = (tu[:, :, None] * tw[:, None, :]).reshape(tu.shape[0], -1)
+    top = ws.top_at.ravel()
+    d_alpha = ((system.robin.ravel() * admittance_alpha_entries_from(
+        system.profile[1][top], ws.mesh.H))[:, None] * dVx[top])
+    rows_alpha = d_alpha.T @ pairs
+    pairs *= (system.robin * system.admittance).reshape(-1, 1)
+    E = ws.top_trace.shape[0]
+    interp = ws.memo(("top interpolation",), lambda: sp.csr_matrix((
+        np.tile(fem.EDGE_PHI, (E, 1)).ravel(),
+        (ws.top_trace.repeat(2, axis=0).ravel(), np.arange(2 * E).repeat(2))),
+        shape=(ws.trace.n_nodes, 2 * E)))
+    return np.concatenate([rows_alpha, interp @ pairs])
 
 
 class Problem:
@@ -255,53 +276,40 @@ class Problem:
         """Dense (m_obs, n) Jacobian of the observation map.
 
         Row (k, s) is -w_s^T (dA/dm) u_k with w_s = A^-1 B^T e_s the adjoint of
-        sensor s: n_sensors solves with the forward factorization.  The top
-        edge contributes u_k w_s dq/dm at each top-edge point, so one GEMM
-        contracts the point products of every (load, sensor adjoint) pair
-        (K S, 2E) with the admittance derivatives D_top (2E, n).  On the
-        volume, load k is folded into the coefficient derivatives,
-        (dS/dalpha) grad(u_k) per triangle as (n_alpha, 2, T) with the
-        triangle axis innermost, and one GEMM per load contracts the fold
-        with the stacked gradients (2T, n_sensors) of the sensor adjoints.
-        The fold is written in place, one load at a time, so the transient
-        memory stays at one load's share.
+        sensor s: n_sensors solves with the forward factorization.  One
+        `grad_op` and one `top_op` product of [U | W] give the triangle
+        gradients and top-edge point values of the loads' solutions and the
+        sensor adjoints.  The top edge contributes u_k w_s dwq/dm at each
+        top-edge point (`top_edge_rows`).  On the volume, load k is folded
+        into the coefficient derivatives, (dS/dalpha) grad(u_k) per triangle
+        as (n_alpha, 2, T) with the triangle axis innermost, by two einsums
+        against the stacks [D11t, D12t] and [D12t, D22], and one GEMM per
+        load contracts the fold with the stacked gradients (2T, n_sensors)
+        of the sensor adjoints.  The fold is one buffer written in place,
+        one load at a time, so the transient memory stays at one load's
+        share.
         """
         ev = self.potential(m)
         if not np.isfinite(ev.J):
             raise InvalidShapeError("cannot linearize at an invalid shape")
         system, ws, ops = ev.state.system, self.ws, self.basis
         W = system.solve(self.B.adjoint(np.eye(self.B.block.shape[0])))  # (n_free, sensors)
-        # triangle gradients (2T, k), x1 then x2, and top-edge point values (2E, k)
-        gu, tu = ws.grad_op @ ev.state.solutions, ws.top_op @ ev.state.solutions
-        gw, tw = ws.grad_op @ W, ws.top_op @ W
-        K, S, T, na = gu.shape[1], gw.shape[1], ws.areas.size, self.n_alpha
-        f, df = system.profile
-        df_top = df[ws.top_at]
-        # volume part, alpha only: grad(w) . (dS/dalpha) grad(u), with the
-        # constant D11t and D12t and the shape-dependent D22
-        D22 = ops.s22_derivative(f, df)
-        # boundary part: exp(beta) times the admittance factor, differentiated
-        # in alpha through the factor and in beta through the trace hat
-        # functions, EDGE_PHI at the two trace nodes of each top edge
-        E = df_top.shape[0]
-        D_top = np.zeros((E, 2, self.n))
-        D_top[..., :na] = ((system.robin * admittance_alpha_entries_from(df_top, self.mesh.H))
-                           [..., None] * ops.dVx[ws.top_at])
-        wq = system.robin * system.admittance
-        for a in range(2):
-            D_top[np.arange(E), :, na + ws.top_trace[:, a]] = wq * fem.EDGE_PHI[:, a]
-        G = top_edge_rows(tu, tw, D_top.reshape(2 * E, self.n))
-        # fold[i, c] = (dS/dalpha_i) grad(u_k), component c, with the
-        # triangle axis innermost
+        K, S, T, na = self.n_loads, W.shape[1], ws.areas.size, self.n_alpha
+        # triangle gradients (2T, K + S), x1 then x2, and top-edge point
+        # values (2E, K + S) of the solutions, then the sensor adjoints
+        UW = np.hstack([ev.state.solutions, W])
+        g, t = ws.grad_op @ UW, ws.top_op @ UW
+        G = top_edge_rows(ws, system, ops.dVx, t[:, :K], t[:, K:])  # (n, K S)
+        # volume part, alpha only: grad(w) . (dS/dalpha) grad(u); fold[i, c]
+        # is component c of (dS/dalpha_i) grad(u_k), triangle axis innermost
+        D2 = ops.D2(*system.profile)
         fold = np.empty((na, 2, T))
-        part = np.empty((na, T))
-        for k, (ux, uy) in enumerate(np.ascontiguousarray(gu.T).reshape(K, 2, 1, T)):
-            np.multiply(ux, ops.D11t, out=fold[:, 0])
-            fold[:, 0] += np.multiply(uy, ops.D12t, out=part)
-            np.multiply(ux, ops.D12t, out=fold[:, 1])
-            fold[:, 1] += np.multiply(uy, D22, out=part)
-            G[k, :, :na] += (fold.reshape(na, 2 * T) @ gw).T
-        return np.negative(G, out=G).reshape(K * S, self.n)
+        G_alpha, gw = G[:na].reshape(na, K, S), g[:, K:]
+        for k, u in enumerate(np.ascontiguousarray(g[:, :K].T).reshape(K, 2, T)):
+            np.einsum("ct,ict->it", u, ops.D1, out=fold[:, 0])
+            np.einsum("ct,ict->it", u, D2, out=fold[:, 1])
+            G_alpha[:, k] += fold.reshape(na, 2 * T) @ gw
+        return np.negative(G.T, out=np.empty((K * S, self.n)))
 
     def linearize(self, m: np.ndarray):
         """(J, predicted observations, Jacobian) in one evaluation."""

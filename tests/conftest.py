@@ -4,11 +4,19 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import settings
 
 from robinshape import build_alpha_prior, build_beta_prior, joint_prior
 from robinshape import fem
-from robinshape.geometry import BoundaryShape
+from robinshape.geometry import BoundaryShape, admittance_alpha_entries_from
 from robinshape.inverse import Problem
+
+# property tests draw their examples from a fixed seed and keep no example
+# database, so every run checks the same examples; max_examples bounds their
+# share of the suite's run time
+settings.register_profile("robinshape", derandomize=True, database=None, deadline=None,
+                          max_examples=60)
+settings.load_profile("robinshape")
 
 
 def small_problem(nx=24, ny=3, p=3, n_loads=4, n_sensors=16, noise_std=0.005,
@@ -45,6 +53,24 @@ def self_consistent_problem(**kwargs):
                    noise_std=prob.noise_std, sensor_x1=prob.sensor_x1,
                    n_loads=prob.n_loads)
     return prob, m_true
+
+
+def dense_top_edge_derivatives(problem, system):
+    """The derivatives (2E, n) of the Robin weights wq = robin * admittance
+    at the top-edge points, as one dense matrix: the alpha block through the
+    admittance factor, then the beta block, robin * admittance scattered by
+    the hat values EDGE_PHI onto the two trace nodes top_trace of each edge.
+    A reference for `inverse.top_edge_rows`, which never forms it."""
+    ws, na = problem.ws, problem.n_alpha
+    df_top = system.profile[1][ws.top_at]
+    E = df_top.shape[0]
+    D_top = np.zeros((E, 2, problem.n))
+    D_top[..., :na] = ((system.robin * admittance_alpha_entries_from(df_top, problem.mesh.H))
+                       [..., None] * problem.basis.dVx[ws.top_at])
+    wq = system.robin * system.admittance
+    for a in range(2):
+        D_top[np.arange(E), :, na + ws.top_trace[:, a]] = wq * fem.EDGE_PHI[:, a]
+    return D_top.reshape(2 * E, problem.n)
 
 
 @dataclass

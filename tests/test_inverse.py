@@ -2,11 +2,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from robinshape import fem, geometry, inverse
 from robinshape.geometry import InvalidShapeError
 
-from conftest import random_valid_parameters, self_consistent_problem, small_problem
+from conftest import (dense_top_edge_derivatives, random_valid_parameters,
+                      self_consistent_problem, small_problem)
 
 
 def test_parameter_layout():
@@ -132,9 +134,11 @@ def test_adjoint_matches_jacobian_gradient_desk(rng):
 
 def test_desk_jacobian_memory_is_bounded(rng):
     # folding one load at a time into the coefficient derivatives keeps the
-    # temporaries at (n_alpha, 2, T) and (2E, n), never a product per load
-    # and sensor pair: all 8 x 32 pair products at once peaked at
-    # 13.1-13.8 MB of live NumPy memory, the per-load fold measured 2.2 MB
+    # volume temporaries at (n_alpha, 2, T), never a product per load and
+    # sensor pair: all 8 x 32 pair products at once peaked at 13.1-13.8 MB
+    # of live NumPy memory; with the two einsums of each load written into
+    # one reused (n_alpha, 2, T) fold and the stack [D12t, D22] beside it,
+    # the whole desk Jacobian peaked at 2.2-2.3 MB
     prob = desk_problem()
     m = random_valid_parameters(prob, rng)
     prob.potential(m)  # kept, so the traced call only linearizes
@@ -230,7 +234,7 @@ def test_target_goes_through_the_traced_entry_points(rng, monkeypatch):
 
 @pytest.mark.parametrize("nx, ny", [(77, 7), (229, 10)])
 def test_volume_derivatives_match_the_pointwise_einsums(nx, ny, rng):
-    # D11t, D12t and the Jacobian's D22 from the quadrature operator M
+    # the stacks [D11t, D12t] and [D12t, D22] from the quadrature operator M
     # against einsums of the pointwise partials of the tensor entries with
     # the basis gathered onto the volume quadrature points: s11 = f and
     # s12 = -x2 df have the partials 1 and -x2, s22 those of
@@ -244,21 +248,49 @@ def test_volume_derivatives_match_the_pointwise_einsums(nx, ny, rng):
     a, b = geometry.pushforward_alpha_entries_from(f[ws.vol_at], df[ws.vol_at], x2)
     refs = (np.einsum("tg,tgi->it", w, Vg), np.einsum("tg,tgi->it", -w * x2, dVg),
             np.einsum("tg,tgi->it", w * a, Vg) + np.einsum("tg,tgi->it", w * b, dVg))
-    for D, ref in zip((ops.D11t, ops.D12t, ops.s22_derivative(f, df)), refs):
-        assert D.shape == ref.shape and D.flags.c_contiguous
+    D2 = ops.D2(f, df)
+    for D in (ops.D1, D2):
+        assert D.shape == (15, 2, ws.areas.size) and D.flags.c_contiguous
+    for D, ref in zip((ops.D1[:, 0], ops.D1[:, 1], D2[:, 0], D2[:, 1]), refs[:2] + refs[1:]):
         assert np.max(np.abs(D - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("nx, ny", [(77, 7), (229, 10)])
-def test_top_edge_rows_match_per_load_gemms(nx, ny, rng):
-    # one GEMM over every (load, sensor adjoint) pair against one GEMM per
-    # load, on the point values of real solutions and sensor adjoints
+def test_top_edge_rows_match_the_dense_reference(nx, ny, rng):
+    # the alpha rows from a GEMM on the alpha columns and the beta rows
+    # through the interpolation's nonzeros, against one GEMM of every (load,
+    # sensor adjoint) point product with the dense derivatives (2E, n), on
+    # the point values of real solutions and sensor adjoints
     prob = small_problem(nx=nx, ny=ny, p=7, n_loads=8, n_sensors=32)
     ev = prob.potential(random_valid_parameters(prob, rng))
+    system = ev.state.system
     tu = prob.ws.top_op @ ev.state.solutions
-    tw = prob.ws.top_op @ ev.state.system.solve(prob.B.adjoint(np.eye(32)))
-    D_top = rng.standard_normal((tu.shape[0], prob.n))
-    ref = np.stack([tw.T @ (tu[:, k, None] * D_top) for k in range(tu.shape[1])])
-    rows = inverse.top_edge_rows(tu, tw, D_top)
-    assert rows.shape == (8, 32, prob.n)
-    assert np.max(np.abs(rows - ref)) <= 1e-14 * np.max(np.abs(ref))
+    tw = prob.ws.top_op @ system.solve(prob.B.adjoint(np.eye(32)))
+    pairs = (tu.T[:, None, :] * tw.T[None, :, :]).reshape(-1, tu.shape[0])
+    ref = (pairs @ dense_top_edge_derivatives(prob, system)).T
+    rows = inverse.top_edge_rows(prob.ws, system, prob.basis.dVx, tu, tw)
+    assert rows.shape == (prob.n, 8 * 32)
+    for block in (slice(None, prob.n_alpha), slice(prob.n_alpha, None)):
+        assert np.max(np.abs(rows[block] - ref[block])) <= 1e-14 * np.max(np.abs(ref[block]))
+
+
+@given(nx=st.integers(2, 10), ny=st.integers(1, 3), p=st.integers(0, 7),
+       n_loads=st.integers(1, 4), n_sensors=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1))
+def test_jacobian_contracts_to_the_gradient_across_shapes(nx, ny, p, n_loads, n_sensors, seed):
+    # on any mesh, order and layout, the Jacobian's rows contract to the
+    # adjoint gradient (criterion 3 and its tolerance), and a few of its
+    # columns match central differences of the observation map
+    prob = small_problem(nx=nx, ny=ny, p=p, n_loads=n_loads, n_sensors=n_sensors, seed=seed)
+    rng = np.random.default_rng(seed)
+    m = random_valid_parameters(prob, rng)
+    ev = prob.potential(m)
+    g, G = prob.gradient(m), prob.jacobian(m)
+    assert G.shape == (n_loads * n_sensors, prob.n)
+    g_ref = G.T @ (ev.state.y - prob.data) / prob.noise_std ** 2 + ev.prior_grad
+    assert np.max(np.abs(g - g_ref)) <= 1e-8 * np.max(np.abs(g_ref))
+    h = 1e-6
+    for i in (0, rng.integers(prob.n_alpha), rng.integers(prob.n_alpha, prob.n)):
+        e = np.zeros(prob.n)
+        e[i] = h
+        fd = (prob.forward(m + e).y - prob.forward(m - e).y) / (2 * h)
+        np.testing.assert_allclose(G[:, i], fd, rtol=1e-5, atol=1e-5 * np.max(np.abs(G)))
