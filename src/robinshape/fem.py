@@ -21,17 +21,17 @@ derivatives.  The verification path `solve_deformed` (isotropic operator on
 the stretched mesh, chord lengths on the slanted top edge) goes through K
 directly.  Both end in `_factor`, the one banded Cholesky factorization,
 called straight through LAPACK.  The Robin field reaches the top-edge points
-by a gather of the two trace nodes of each top edge (`FemWorkspace.top_trace`).
+by a gather of the two trace nodes of each top edge (`FemWorkspace.top_gather`),
+and sensitivities there go back by its transpose `FemWorkspace.top_pullback`.
 `forward` solves every load and reads the bottom-edge sensors out load-major;
 the data generator, the inverse problem and `solve_deformed` all go through it.
 The sensors (`Sensors`) are the few free rows they touch and a dense block of
 their weights there, so that every read and every adjoint right-hand side
 touches two rows per sensor.
 `workspace` builds the workspace of a slab mesh once and shares it between
-the data generator and every inverse problem on that mesh; what a
-configuration adds to a mesh, its loads and sensors here and the operators
-other modules keep through `FemWorkspace.memo`, is built once per workspace
-and shared read-only.
+the data generator and every inverse problem on that mesh; its operators,
+and what a configuration adds to the mesh, are built once per workspace
+through `FemWorkspace.memo` and shared read-only.
 
 The free nodes are the only vector space this module hands out: loads,
 solutions, the sensors and the element operators `grad_op` and `top_op` all
@@ -69,6 +69,11 @@ _EDGE_W = np.array([0.5, 0.5])  # weights on the unit-length reference edge
 EDGE_PHI = np.column_stack([(1.0 - _EDGE_XI) / 2.0, (1.0 + _EDGE_XI) / 2.0])
 
 
+def _memoised(build):
+    """A workspace property built by build(ws) once, through `FemWorkspace.memo`."""
+    return property(lambda ws: ws.memo((build.__name__,), lambda: build(ws)), doc=build.__doc__)
+
+
 class FemWorkspace:
     """Precomputed geometry shared by all assemblies on one mesh."""
 
@@ -92,11 +97,14 @@ class FemWorkspace:
         # (left node, right node), sorted by x1, as build_slab_mesh emits them
         self.top_edges = mesh.edge_groups["top"]
         self.bottom_edges = mesh.edge_groups["bottom"]
-        # the trace nodes (E, 2) at the ends of each top edge: point g of
-        # edge e carries sum_a EDGE_PHI[g, a] beta[top_trace[e, a]]
-        to_trace = np.full(mesh.n_nodes, -1)
-        to_trace[self.trace.parent_nodes] = np.arange(self.trace.n_nodes)
-        self.top_trace = to_trace[self.top_edges]
+        # the trace nodes (E, 2) at the ends of each top edge, which
+        # `top_gather` reads, and that gather's exact transpose (q, 2E)
+        self.top_trace = np.searchsorted(self.trace.parent_nodes, self.top_edges)
+        E = self.top_edges.shape[0]
+        self.top_pullback = _frozen(sp.csr_matrix((
+            np.tile(EDGE_PHI, (E, 1)).ravel(),
+            (self.top_trace.repeat(2, axis=0).ravel(), np.arange(2 * E).repeat(2))),
+            shape=(self.trace.n_nodes, 2 * E)))
 
         x1 = mesh.nodes[:, 0]
         free_mask = (x1 != 0.0) & (x1 != mesh.L)
@@ -136,6 +144,14 @@ class FemWorkspace:
         if key not in self._memo:
             self._memo[key] = _frozen(build())
         return self._memo[key]
+
+    def top_gather(self, beta) -> np.ndarray:
+        """beta, nodal values on the trace, at the top-edge points (E, 2):
+        point g of edge e carries sum_a EDGE_PHI[g, a] beta[top_trace[e, a]]."""
+        beta = np.asarray(beta, dtype=float)
+        if beta.shape != (self.trace.n_nodes,):
+            raise ValueError("beta length does not match its trace mesh")
+        return beta[self.top_trace] @ EDGE_PHI.T
 
     def loads(self, n_loads: int) -> np.ndarray:
         """The free-node loads of currents 1..n_loads (n_free, n_loads), built
@@ -180,9 +196,8 @@ class FemWorkspace:
 
     def coefficient_operator(self) -> sp.csr_matrix:
         """The sparse operator K from the coefficients c to the flattened
-        band: band = K @ c.  Built on each call, since only the build of F
-        and the deformed-domain solve use it, so no shared workspace keeps
-        it."""
+        band: band = K @ c.  Built on each call: only F's build and the
+        deformed-domain solve use it, so no shared workspace keeps it."""
         T, E = self.areas.size, self.top_edges.shape[0]
         r, c, keep = self._local_pairs()
         pos = (self.band_u + r - c) * self.free.size + c
@@ -215,7 +230,7 @@ class FemWorkspace:
         vals = np.concatenate([w, -w * x2, w, w * x2 ** 2]).ravel()
         return sp.csr_matrix((vals, (rows, cols)), shape=(3 * T, 4 * nx))
 
-    @functools.cached_property
+    @_memoised
     def F(self) -> sp.csr_matrix:
         """The fused assembly operator K block_diag(M, I), built on first
         use: band = F @ phi for the features phi, [f, df, 1/f, df^2/f] at
@@ -224,30 +239,29 @@ class FemWorkspace:
         # the copy drops the slack of the product's over-allocated buffers
         return (self.coefficient_operator() @ M).tocsr().copy()
 
-    @functools.cached_property
+    @_memoised
     def FT(self) -> sp.csr_matrix:
         """CSR copy of F's transpose, which maps band sensitivities back to
         the features (`band_pairs`); built on first use, so a workspace that
         never differentiates holds none."""
         return self.F.T.tocsr()
 
-    @functools.cached_property
+    @_memoised
     def grad_op(self) -> sp.csr_matrix:
         """P1 gradient operator (2T, n_free): row c * T + t of grad_op @ u is
         component c of grad(u) on triangle t, for free-node values u."""
-        T = self.areas.size
-        rows = np.arange(2 * T).reshape(2, T, 1).repeat(3, axis=2)
+        rows = np.arange(2 * self.areas.size).reshape(2, -1, 1).repeat(3, axis=2)
         cols = np.broadcast_to(self.mesh.triangles, rows.shape)
         return self._on_free(self.grads.transpose(2, 0, 1), rows, cols)
 
-    @functools.cached_property
+    @_memoised
     def top_op(self) -> sp.csr_matrix:
         """Top-edge point values (2E, n_free): row 2 * e + g of top_op @ u is
-        u at quadrature point g of top edge e, for free-node values u."""
-        E = self.top_edges.shape[0]
-        rows = np.arange(2 * E).reshape(E, 2, 1).repeat(2, axis=2)
-        cols = np.broadcast_to(self.top_edges[:, None, :], rows.shape)
-        return self._on_free(np.broadcast_to(EDGE_PHI, rows.shape), rows, cols)
+        u at quadrature point g of top edge e, for free-node values u: the
+        gather top_pullback.T with its trace-node columns moved to the free
+        nodes."""
+        gather = self.top_pullback.T.tocoo()
+        return self._on_free(gather.data, gather.row, self.trace.parent_nodes[gather.col])
 
     def _on_free(self, vals, rows, cols) -> sp.csr_matrix:
         # an operator on the nodal values, restricted to the free-node
@@ -302,7 +316,7 @@ def workspace(L: float, H: float, nx: int, ny: int) -> FemWorkspace:
     """The workspace of the nx x ny slab mesh of size L x H, built once per
     mesh and shared by every caller on it: the data generator on the fine
     mesh and every inverse problem on the inversion mesh.  Nothing writes to
-    a workspace after construction except its cached operators."""
+    a workspace after construction except its memoised operators."""
     return FemWorkspace(build_slab_mesh(L, H, nx, ny))
 
 
@@ -391,9 +405,6 @@ def assemble(ws: FemWorkspace, profile, beta: np.ndarray) -> AssembledSystem:
     the workspace's top trace.  The band is one product of the fused
     operator ws.F with the features [f, df, 1/f, df^2/f, wq].
     """
-    beta = np.asarray(beta, dtype=float)
-    if beta.shape != (ws.trace.n_nodes,):
-        raise ValueError("beta length does not match its trace mesh")
     f, df = (np.asarray(v, dtype=float) for v in profile)
     if f.shape != ws.x1.shape or df.shape != ws.x1.shape:
         raise ValueError("profile values do not match the workspace abscissae")
@@ -403,7 +414,7 @@ def assemble(ws: FemWorkspace, profile, beta: np.ndarray) -> AssembledSystem:
     inv_f = 1.0 / f
     # an overflowed exp(beta) is rejected by _factor's finite-band check
     with np.errstate(over="ignore"):
-        robin = np.exp(beta[ws.top_trace] @ EDGE_PHI.T) * ws.top_lw
+        robin = np.exp(ws.top_gather(beta)) * ws.top_lw
     admittance = admittance_factor_from(df[ws.top_at], ws.mesh.H)
     wq = robin * admittance
     band, chol = _factor(ws, ws.F @ np.concatenate([f, df, inv_f, df * df * inv_f, wq.ravel()]))
@@ -446,16 +457,10 @@ def solve_deformed(mesh: SlabMesh, shape, beta: np.ndarray, n_loads: int,
     nodes = mesh.nodes.copy()
     f, _ = shape.eval(nodes[:, 0])
     nodes[:, 1] *= f
-    deformed = SlabMesh(nodes=nodes, triangles=mesh.triangles,
-                        edge_groups=mesh.edge_groups, L=mesh.L, H=mesh.H,
-                        nx=mesh.nx, ny=mesh.ny)
-    ws = FemWorkspace(deformed)
-    pa = deformed.nodes[ws.top_edges[:, 0]]
-    pb = deformed.nodes[ws.top_edges[:, 1]]
-    lengths = np.hypot(pb[:, 0] - pa[:, 0], pb[:, 1] - pa[:, 1])
+    ws = FemWorkspace(dataclasses.replace(mesh, nodes=nodes))
+    lengths = np.hypot(*(nodes[ws.top_edges[:, 1]] - nodes[ws.top_edges[:, 0]]).T)
     # the deformed trace keeps the reference x1 parameterisation of beta
-    wq = np.exp(np.interp(ws.top_squad, ws.trace.s, np.asarray(beta, dtype=float))) * (
-        _EDGE_W[None, :] * lengths[:, None])
+    wq = np.exp(ws.top_gather(beta)) * (_EDGE_W[None, :] * lengths[:, None])
     c = np.concatenate([ws.areas, np.zeros_like(ws.areas), ws.areas, wq.ravel()])
     band, chol = _factor(ws, ws.coefficient_operator() @ c)
     return forward(AssembledSystem(band=band, chol=chol), all_loads(ws, n_loads),

@@ -324,6 +324,8 @@ def generate_data(config: ExperimentConfig) -> SyntheticDataset:
 # -- inference runs ----------------------------------------------------------
 
 def build_problem(config: ExperimentConfig, dataset: SyntheticDataset) -> Problem:
+    if not dataset.delta_e > 0.0:
+        raise ConfigError("noise level must be positive; noise_percent or the data range is 0")
     ws = fem.workspace(config.L, config.H, config.inversion_mesh.nx, config.inversion_mesh.ny)
     settings = (config.p, config.sigma_alpha2, config.s_alpha, config.delta_beta2, config.corr_l)
     prior = ws.memo(("prior", *settings), lambda: joint_prior(

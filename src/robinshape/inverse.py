@@ -11,14 +11,15 @@ derivative of the system matrix by two independent reductions:
   system, goes back to the assembly features [f, df, 1/f, df^2/f, wq]
   through the transpose of the fused operator `FemWorkspace.F`, then by the
   chain rule to the profile on the slab's abscissae, where the Fourier basis
-  is cached, and through the interpolation of beta to the top-edge points;
+  is cached, and to beta by the interpolation's transpose
+  `FemWorkspace.top_pullback`;
 - the Jacobian pairs the loads' solutions with the n_sensors sensor
   adjoints (32 solves at the default size, where the direct sensitivity
   method needed n * n_loads = 744) on the elements: each load's gradients,
   folded by two einsums into one (n_alpha, 2, T) buffer of the volume
   coefficients' derivatives, go into one GEMM per load; the top edge's
   point products take one GEMM on the alpha columns and reach beta through
-  the interpolation's two nonzeros per point.
+  the same `top_pullback`.
 
 The gradient has one load-summed pair, the Jacobian 32 pairs per load.  On a
 2-core VM with one BLAS thread a band transpose took the desk gradient
@@ -124,21 +125,14 @@ def top_edge_rows(ws: fem.FemWorkspace, system: fem.AssembledSystem, dVx: np.nda
     solutions and tw (2E, S) of the sensor adjoints, and the Robin weights
     wq = robin * admittance.  The alpha rows are one GEMM of the point
     products with the admittance factor's derivative times dVx; the beta
-    rows go back through the interpolation of beta onto the points, two
-    trace nodes per point, a sparse (q, 2E) operator built once per
-    workspace."""
+    rows go back through the interpolation's transpose `ws.top_pullback`."""
     pairs = (tu[:, :, None] * tw[:, None, :]).reshape(tu.shape[0], -1)
     top = ws.top_at.ravel()
     d_alpha = ((system.robin.ravel() * admittance_alpha_entries_from(
         system.profile[1][top], ws.mesh.H))[:, None] * dVx[top])
     rows_alpha = d_alpha.T @ pairs
     pairs *= (system.robin * system.admittance).reshape(-1, 1)
-    E = ws.top_trace.shape[0]
-    interp = ws.memo(("top interpolation",), lambda: sp.csr_matrix((
-        np.tile(fem.EDGE_PHI, (E, 1)).ravel(),
-        (ws.top_trace.repeat(2, axis=0).ravel(), np.arange(2 * E).repeat(2))),
-        shape=(ws.trace.n_nodes, 2 * E)))
-    return np.concatenate([rows_alpha, interp @ pairs])
+    return np.concatenate([rows_alpha, ws.top_pullback @ pairs])
 
 
 class Problem:
@@ -250,8 +244,7 @@ class Problem:
         nx = ws.x1.size
         z_f, z_df, z_inv, z_sq = z[:4 * nx].reshape(4, nx)
         z_wr = z[4 * nx:].reshape(ws.top_at.shape) * system.robin
-        _, df = system.profile
-        inv_f = system.inv_f
+        df, inv_f = system.profile[1], system.inv_f
         # sensitivities to f and df on the abscissae: the volume features
         # f, df, 1/f and df^2/f, then wq = robin * admittance(df) at the
         # top-edge points, each of which has an abscissa of its own
@@ -259,9 +252,8 @@ class Problem:
         g_df = z_df + 2.0 * z_sq * df * inv_f
         g_df[ws.top_at] += z_wr * admittance_alpha_entries_from(df[ws.top_at], self.mesh.H)
         # beta through its interpolation onto the top-edge points, back to
-        # the two trace nodes at the ends of each edge
-        g_beta = np.bincount(ws.top_trace.ravel(),
-                             ((z_wr * system.admittance) @ fem.EDGE_PHI).ravel(), minlength=self.q)
+        # the trace nodes by the interpolation's transpose
+        g_beta = ws.top_pullback @ (z_wr * system.admittance).ravel()
         return (np.concatenate([g_f @ self.basis.Vx + g_df @ self.basis.dVx, g_beta])
                 + ev.prior_grad)
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -216,6 +218,42 @@ def test_fused_transpose_matches_element_products(nx, ny, rng):
                            for v in (z11, -x2 * z12, z22, x2 ** 2 * z22)] + [ref[3 * T:]])
     assert np.max(np.abs(z - want)) <= 1e-12 * np.max(np.abs(want))
 
+
+@pytest.mark.parametrize("nx, ny, stretched", [(24, 3, False), (77, 7, False),
+                                               (229, 10, False), (77, 7, True)])
+def test_top_pullback_is_the_exact_transpose_of_the_gather(nx, ny, stretched, rng):
+    # top_gather carries beta to the top-edge points, and top_pullback
+    # takes point sensitivities back: z . gather(beta) ==
+    # (top_pullback @ z) . beta; the gather is the piecewise-linear
+    # interpolation of beta, also on solve_deformed's copy of the mesh
+    # stretched by f, whose top edge is slanted
+    mesh = build_slab_mesh(1.0, 0.05, nx, ny)
+    if stretched:
+        f, _ = BoundaryShape(alpha=np.array([0.0, 0.04, -0.06, 0.02, 0.03])).eval(mesh.nodes[:, 0])
+        mesh = dataclasses.replace(mesh, nodes=mesh.nodes * np.column_stack([np.ones_like(f), f]))
+    ws = fem.FemWorkspace(mesh)
+    beta, z = rng.standard_normal(ws.trace.n_nodes), rng.standard_normal(ws.top_squad.size)
+    gather = ws.top_gather(beta).ravel()
+    assert ws.top_pullback.shape == (beta.size, z.size) and ws.top_pullback.nnz == 2 * z.size
+    assert abs(z @ gather - (ws.top_pullback @ z) @ beta) <= 1e-14 * (np.abs(z) @ np.abs(gather))
+    # np.interp rounds x1 to its local coordinate with an error of order
+    # eps / h, times the slope of beta over h: a smooth field, like a
+    # truth's nodal values, keeps that at the rounding of the values
+    smooth = 1.0 + 0.5 * np.sin(2 * np.pi * ws.trace.s)
+    gather = ws.top_gather(smooth).ravel()
+    interp = np.interp(ws.top_squad, ws.trace.s, smooth).ravel()
+    assert np.max(np.abs(gather - interp)) <= 1e-15 * np.max(np.abs(interp))
+
+
+def test_beta_of_another_trace_is_rejected():
+    # both solvers read beta through the one gather, which checks its length
+    mesh = build_slab_mesh(1.0, 0.05, 24, 3)
+    ws = fem.FemWorkspace(mesh)
+    for beta in (np.zeros(ws.trace.n_nodes - 1), np.zeros(ws.trace.n_nodes + 1)):
+        with pytest.raises(ValueError, match="beta length"):
+            fem.assemble(ws, flat_shape().eval(ws.x1), beta)
+        with pytest.raises(ValueError, match="beta length"):
+            fem.solve_deformed(mesh, flat_shape(), beta, 2, [0.5])
 
 def test_indefinite_system_raises_solver_error():
     ws = fem.FemWorkspace(build_slab_mesh(1.0, 0.05, 12, 3))

@@ -601,6 +601,19 @@ def test_cli_map_rejects_zero_noise_level(tmp_path, capsys):
         assert "noise level must be positive" in capsys.readouterr().err
 
 
+def test_run_map_rejects_zero_noise_level_as_config_error(tmp_path):
+    # both ways to a zero noise level load and generate (noise-free) data,
+    # and the inverse problem then refuses them as a config error naming
+    # both causes, not as the raw ValueError of Problem
+    for overrides in ({"noise_percent": 0.0}, {"n_loads": 1, "n_sensors": 1}):
+        cfg = small_config(tmp_path, **overrides)
+        ds = generate_data(cfg)
+        assert ds.delta_e == 0.0
+        with pytest.raises(ConfigError, match="noise level must be positive") as err:
+            run_map(cfg, ds)
+        assert "noise_percent" in str(err.value) and "data range is 0" in str(err.value)
+
+
 def test_cli_non_positive_truth_height_exits_1(tmp_path, capsys):
     # a truth profile that dips to or below the bottom is a config error
     # naming the profile, not a traceback out of the assembly
@@ -725,8 +738,11 @@ def test_shared_operators_are_read_only(tmp_path):
               fine_sensors.block]
     arrays += [getattr(prob.basis, f.name) for f in dataclasses.fields(prob.basis)
                if f.name != "M22"]
-    # the sparse quadrature block, through its storage
-    arrays += [prob.basis.M22.data, prob.basis.M22.indices, prob.basis.M22.indptr]
+    # the sparse operators, through their storage: the quadrature block and
+    # the workspace's own
+    ws = prob.ws
+    for op in (prob.basis.M22, ws.F, ws.FT, ws.grad_op, ws.top_op, ws.top_pullback):
+        arrays += [op.data, op.indices, op.indptr]
     for a in arrays:
         with pytest.raises(ValueError):
             a[(0,) * a.ndim] += 1
