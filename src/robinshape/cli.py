@@ -36,7 +36,7 @@ def _dataset_path(config: ExperimentConfig) -> str:
 def _write_data(config: ExperimentConfig) -> SyntheticDataset:
     """Generate the data; write them and the config to config.output_dir."""
     dataset = harness.generate_data(config)
-    dataset.to_files(_dataset_path(config), os.path.join(config.output_dir, "dataset.csv"))
+    dataset.to_file(_dataset_path(config))
     harness.atomic_write(os.path.join(config.output_dir, "config.json"), config.to_json())
     print(f"wrote {_dataset_path(config)} (delta_e={dataset.delta_e:.6g})")
     return dataset
@@ -67,13 +67,13 @@ def cmd_generate_data(args) -> int:
 
 def cmd_map(args) -> int:
     config = _load_config(args.config)
-    dataset = SyntheticDataset.from_files(_dataset_path(config))
+    dataset = SyntheticDataset.from_file(_dataset_path(config))
     return 0 if _run_map(config, dataset).report.converged else 2
 
 
 def cmd_sample(args) -> int:
     config = _load_config(args.config)
-    return _run_map_and_mcmc(config, SyntheticDataset.from_files(_dataset_path(config)))
+    return _run_map_and_mcmc(config, SyntheticDataset.from_file(_dataset_path(config)))
 
 
 def cmd_diagnose(args) -> int:

@@ -1,9 +1,10 @@
 """Experiment orchestration: configuration, inverse-crime-free synthetic data
 generation, MAP/Laplace and MCMC runs, and result export.  The data come from
-`fem.forward`, the inverse problem's forward map, on a finer mesh; every CSV
-artifact is written by `table_csv`, or for the chain in its format by
-`chain_csv`; a config's truth parameters are checked against the profile's
-row of `TRUTH_PARAMS` when it is loaded."""
+`fem.forward`, the inverse problem's forward map, on a finer mesh; each run
+stage writes one JSON document (`dataset.json`, `map_report.json`,
+`mcmc_summary.json`), and the MCMC stage the chain as CSV by `chain_csv`; a
+config's truth parameters are checked against the profile's row of
+`TRUTH_PARAMS` when it is loaded."""
 from __future__ import annotations
 
 import dataclasses
@@ -40,6 +41,11 @@ class MeshSpec:
         # one column has no free node: both of its node columns are Dirichlet
         if self.nx < 2 or self.ny < 1:
             raise ValueError("mesh nx must be at least 2 and ny at least 1")
+
+
+# the config's fields that are settings objects, read from JSON objects
+NESTED = {"fine_mesh": MeshSpec, "inversion_mesh": MeshSpec,
+          "gn": GaussNewtonOptions, "mala": MalaSettings}
 
 
 @dataclass
@@ -81,6 +87,10 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be positive")
         if not self.noise_percent >= 0:
             raise ConfigError("noise_percent must be non-negative")
+        for name, tp in {**NESTED, "output_dir": str}.items():
+            if not isinstance(getattr(self, name), tp):
+                kind = "a string" if tp is str else "an object"
+                raise ConfigError(f"{name} must be {kind}, not {getattr(self, name)!r}")
         truth_parameters(self.truth_profile, self.truth_params)
 
     def sensor_x1(self) -> np.ndarray:
@@ -93,10 +103,8 @@ class ExperimentConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         kwargs = dict(d)
-        nested = {"fine_mesh": MeshSpec, "inversion_mesh": MeshSpec,
-                  "gn": GaussNewtonOptions, "mala": MalaSettings}
         try:
-            for key, tp in nested.items():
+            for key, tp in NESTED.items():
                 if isinstance(kwargs.get(key), dict):
                     kwargs[key] = tp(**kwargs[key])
             return cls(**kwargs)
@@ -110,19 +118,6 @@ class ExperimentConfig:
     def from_json_file(cls, path: str) -> "ExperimentConfig":
         with open(path) as fh:
             return cls.from_dict(json.load(fh))
-
-
-def table_csv(names: list, *columns) -> str:
-    """CSV text: a header of names, then one row per entry of the equally
-    long columns, each value written by repr so that floats read back
-    exactly.  Values become Python scalars 1024 rows at a time, so a long
-    chain never holds all of them as objects at once."""
-    columns = [np.asarray(c) for c in columns]
-    lines = [",".join(names)]
-    for i in range(0, len(columns[0]), 1024):
-        block = zip(*(c[i:i + 1024].tolist() for c in columns))
-        lines += [",".join(map(repr, row)) for row in block]
-    return "\n".join(lines) + "\n"
 
 
 def atomic_write(path: str, text: str):
@@ -254,34 +249,23 @@ class SyntheticDataset:
     truth_s: np.ndarray        # fine trace arc-coordinates
     fine_mesh: dict            # metadata of the generating mesh
 
-    def to_files(self, json_path: str, csv_path: str):
-        header = {
-            "delta_e": self.delta_e, "seed": self.seed,
-            "n_loads": self.n_loads,
-            "sensor_x1": self.sensor_x1.tolist(),
-            "truth_s": self.truth_s.tolist(),
-            "truth_f": self.truth_f.tolist(),
-            "truth_beta": self.truth_beta.tolist(),
-            "fine_mesh": self.fine_mesh,
-            "csv": os.path.basename(csv_path),
-        }
-        atomic_write(json_path, json.dumps(header, indent=2))
-        atomic_write(csv_path, table_csv(["y", "y_noiseless"], self.y, self.y_noiseless))
+    def to_file(self, path: str):
+        """One JSON object of the fields; floats are written by repr, so
+        every array reads back exactly."""
+        atomic_write(path, json.dumps(dataclasses.asdict(self), default=np.ndarray.tolist,
+                                      indent=2))
 
     @classmethod
-    def from_files(cls, json_path: str) -> "SyntheticDataset":
-        with open(json_path) as fh:
-            header = json.load(fh)
-        csv_path = os.path.join(os.path.dirname(json_path), header["csv"])
-        payload = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
-        return cls(y=payload[:, 0], y_noiseless=payload[:, 1],
-                   delta_e=header["delta_e"], seed=header["seed"],
-                   sensor_x1=np.asarray(header["sensor_x1"]),
-                   n_loads=header["n_loads"],
-                   truth_f=np.asarray(header["truth_f"]),
-                   truth_beta=np.asarray(header["truth_beta"]),
-                   truth_s=np.asarray(header["truth_s"]),
-                   fine_mesh=header["fine_mesh"])
+    def from_file(cls, path: str) -> "SyntheticDataset":
+        """The dataset `to_file` wrote; ValueError names the fields it lacks."""
+        with open(path) as fh:
+            doc = json.load(fh)
+        names = [f.name for f in dataclasses.fields(cls)]
+        missing = [name for name in names if name not in doc]
+        if missing:
+            raise ValueError(f"dataset {path} lacks the fields {missing}")
+        return cls(**{name: np.asarray(doc[name]) if isinstance(doc[name], list) else doc[name]
+                      for name in names})
 
 
 def generate_data(config: ExperimentConfig) -> SyntheticDataset:
@@ -351,39 +335,34 @@ class MapResult:
 
 
 def run_map(config: ExperimentConfig, dataset: SyntheticDataset) -> MapResult:
-    """Gauss-Newton MAP estimate plus Laplace approximation; writes a JSON
-    report and CSV envelope tables to the output directory."""
+    """Gauss-Newton MAP estimate plus Laplace approximation; writes them to
+    map_report.json with the boundary height at the MAP and its pointwise
+    std, so the Laplace envelope at level k of the boundary is boundary_map
+    +/- k boundary_std and of beta beta_map +/- k marginal_std[n_alpha:]."""
     problem = build_problem(config, dataset)
     m_map, report = optimize.gauss_newton(problem, problem.prior_mean, config.gn)
     lap = optimize.laplace(m_map, report.hessian)
 
     alpha_map, beta_map = problem.split(m_map)
-    std = lap.marginal_std
     # the boundary height's pointwise std from the alpha covariance block
     Vs, cov_aa = problem.basis.Vs, lap.covariance[:problem.n_alpha, :problem.n_alpha]
     bnd_std = problem.mesh.H * np.sqrt(np.einsum("si,ij,sj->s", Vs, cov_aa, Vs))
-    bnd_map = boundary_height(problem, alpha_map)
 
-    out = config.output_dir
     rep = {
         "m_map": m_map.tolist(),
         "alpha_map": alpha_map.tolist(),
         "beta_map": beta_map.tolist(),
-        "marginal_std": std.tolist(),
+        "marginal_std": lap.marginal_std.tolist(),
+        "trace_s": problem.trace.s.tolist(),
+        "boundary_map": boundary_height(problem, alpha_map).tolist(),
+        "boundary_std": bnd_std.tolist(),
         "gauss_newton": report.to_dict(),
         "n_parameters": problem.n,
         "inversion_mesh": {"nx": config.inversion_mesh.nx, "ny": config.inversion_mesh.ny,
                            "n_nodes": problem.mesh.n_nodes,
                            "n_trace": problem.trace.n_nodes},
     }
-    atomic_write(os.path.join(out, "map_report.json"), json.dumps(rep, indent=2))
-
-    names = ["s", "center"] + [f"{b}{k}" for k in (1, 2, 3) for b in ("lo", "hi")]
-    for field_name, center, sigma in (("boundary", bnd_map, bnd_std),
-                                      ("robin", beta_map, std[problem.n_alpha:])):
-        bands = [c for k in (1, 2, 3) for c in (center - k * sigma, center + k * sigma)]
-        atomic_write(os.path.join(out, f"{field_name}_envelope_laplace.csv"),
-                     table_csv(names, problem.trace.s, center, *bands))
+    atomic_write(os.path.join(config.output_dir, "map_report.json"), json.dumps(rep, indent=2))
     return MapResult(m_map=m_map, report=report, laplace=lap, problem=problem)
 
 
@@ -394,10 +373,11 @@ class McmcResult:
 
 
 def chain_csv(problem: Problem, output: mala.ChainOutput) -> str:
-    """chain.csv, the text `table_csv` writes for the columns of the states,
-    J and the accepted flag.  A rejected step leaves the state and J as they
-    were, so a row whose flag is 0 repeats the row above and reuses its
-    text: only the first row and the accepted rows are formatted."""
+    """chain.csv: a header, then per recorded step the state, J and the
+    accepted flag, each value written by repr so that floats read back
+    exactly.  A rejected step leaves the state and J as they were, so a row
+    whose flag is 0 repeats the row above and reuses its text: only the
+    first row and the accepted rows are formatted."""
     names = [f"alpha_{i}" for i in range(problem.n_alpha)]
     names += [f"beta_{j + 1}" for j in range(problem.q)]
     lines = [",".join(names + ["J", "accepted"])]

@@ -101,6 +101,24 @@ def test_out_of_range_settings_rejected_before_any_work(tmp_path):
     assert cfg.mala.tau_init == 1 and cfg.gn.grad_reduction == 100
 
 
+@pytest.mark.parametrize("bad", [{"fine_mesh": [229, 10]}, {"gn": 5}, {"mala": "x"},
+                                 {"output_dir": 3}])
+def test_mistyped_nested_setting_is_a_config_error(tmp_path, capsys, bad):
+    # a settings object that is not a JSON object, or an output_dir that is
+    # not a string, fails on load with a message, not late with a traceback
+    name = next(iter(bad))
+    with pytest.raises(ConfigError, match=name):
+        ExperimentConfig.from_dict(bad)
+    path = str(tmp_path / "bad.json")
+    with open(path, "w") as fh:
+        json.dump({"output_dir": str(tmp_path / "out"), **bad}, fh)
+    for command in ("generate-data", "map", "sample"):
+        assert cli.main([command, "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and name in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_atomic_write_mode_follows_umask(tmp_path):
     old = os.umask(0o022)
     try:
@@ -239,16 +257,9 @@ def test_flat_truth_zero_noise_matches_reference_solve(tmp_path):
 
 def test_dataset_regeneration_is_byte_identical(tmp_path):
     cfg = small_config(tmp_path, truth_profile="example2", seed=11)
-    paths = []
     for tag in ("a", "b"):
-        ds = generate_data(cfg)
-        jp = str(tmp_path / tag / "ds.json")
-        cp = str(tmp_path / tag / "ds.csv")
-        ds.to_files(jp, cp)
-        paths.append((jp, cp))
-    for i in (0, 1):
-        with open(paths[0][i], "rb") as fa, open(paths[1][i], "rb") as fb:
-            assert fa.read() == fb.read()
+        generate_data(cfg).to_file(str(tmp_path / tag / "ds.json"))
+    assert (tmp_path / "a" / "ds.json").read_bytes() == (tmp_path / "b" / "ds.json").read_bytes()
 
 
 def test_workspace_is_built_once_per_mesh(tmp_path, monkeypatch):
@@ -285,25 +296,50 @@ def test_workspace_is_built_once_per_mesh(tmp_path, monkeypatch):
 def test_dataset_file_roundtrip(tmp_path):
     cfg = small_config(tmp_path)
     ds = generate_data(cfg)
-    jp, cp = str(tmp_path / "d.json"), str(tmp_path / "d.csv")
-    ds.to_files(jp, cp)
-    back = SyntheticDataset.from_files(jp)
-    assert np.array_equal(back.y, ds.y)
-    assert np.array_equal(back.y_noiseless, ds.y_noiseless)
+    path = str(tmp_path / "d.json")
+    ds.to_file(path)
+    assert os.listdir(tmp_path) == ["d.json"]
+    back = SyntheticDataset.from_file(path)
+    for name in ("y", "y_noiseless", "sensor_x1", "truth_f", "truth_beta", "truth_s"):
+        assert getattr(back, name).tobytes() == getattr(ds, name).tobytes()
     assert back.delta_e == ds.delta_e and back.seed == ds.seed
-    assert back.fine_mesh == ds.fine_mesh
-    np.testing.assert_array_equal(back.truth_beta, ds.truth_beta)
+    assert back.n_loads == ds.n_loads and back.fine_mesh == ds.fine_mesh
+
+
+def test_dataset_file_lacking_fields_is_rejected(tmp_path, capsys):
+    # a dataset.json in the earlier two-file format (the header here, y and
+    # y_noiseless in a dataset.csv it names) lacks the data: a ValueError
+    # naming both fields, and exit 1 with a message from the commands
+    path, cfg = write_config(tmp_path)
+    ds = generate_data(cfg)
+    header = {"delta_e": ds.delta_e, "seed": ds.seed, "n_loads": ds.n_loads,
+              "sensor_x1": ds.sensor_x1.tolist(), "truth_s": ds.truth_s.tolist(),
+              "truth_f": ds.truth_f.tolist(), "truth_beta": ds.truth_beta.tolist(),
+              "fine_mesh": ds.fine_mesh, "csv": "dataset.csv"}
+    os.makedirs(cfg.output_dir)
+    with open(os.path.join(cfg.output_dir, "dataset.json"), "w") as fh:
+        json.dump(header, fh)
+    with open(os.path.join(cfg.output_dir, "dataset.csv"), "w") as fh:
+        fh.write("y,y_noiseless\n" + "".join(f"{a!r},{b!r}\n"
+                                             for a, b in zip(ds.y, ds.y_noiseless)))
+    with pytest.raises(ValueError, match=r"\['y', 'y_noiseless'\]"):
+        SyntheticDataset.from_file(os.path.join(cfg.output_dir, "dataset.json"))
+    for command in ("map", "sample"):
+        assert cli.main([command, "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "y_noiseless" in err and "Traceback" not in err
+    assert not os.path.exists(os.path.join(cfg.output_dir, "map_report.json"))
 
 
 def test_single_observation_dataset_roundtrip(tmp_path):
-    # one load and one sensor write a one-row dataset.csv, which must read
-    # back as one observation rather than as a flat (y, y_noiseless) pair
+    # one load and one sensor write one observation, which must read back
+    # as an array of one, not as a scalar
     cfg = small_config(tmp_path, n_loads=1, n_sensors=1)
     ds = generate_data(cfg)
     assert ds.y.shape == (1,)
-    jp, cp = str(tmp_path / "d.json"), str(tmp_path / "d.csv")
-    ds.to_files(jp, cp)
-    back = SyntheticDataset.from_files(jp)
+    path = str(tmp_path / "d.json")
+    ds.to_file(path)
+    back = SyntheticDataset.from_file(path)
     assert np.array_equal(back.y, ds.y)
     assert np.array_equal(back.y_noiseless, ds.y_noiseless)
     assert back.y.shape == (1,) and back.n_loads == 1
@@ -337,13 +373,20 @@ def test_run_map_artifacts(small_pipeline):
     assert len(rep["alpha_map"]) == 15
     assert len(rep["beta_map"]) == result.problem.q
     assert rep["gauss_newton"]["converged"]
-    for name in ("boundary_envelope_laplace.csv", "robin_envelope_laplace.csv"):
-        payload = np.loadtxt(os.path.join(out, name), delimiter=",", skiprows=1)
-        assert payload.shape == (result.problem.q, 8)
-        # lo3 <= lo2 <= lo1 <= center <= hi1 <= hi2 <= hi3
-        assert np.all(payload[:, 2] <= payload[:, 1] + 1e-15)
-        assert np.all(payload[:, 1] >= payload[:, 6])
-        assert np.all(payload[:, 3] >= payload[:, 2])
+    # the Laplace envelopes' centers and sigmas: the boundary height at the
+    # MAP and its pointwise std from the alpha block of the covariance
+    problem, n_alpha = result.problem, result.problem.n_alpha
+    alpha_map = result.m_map[:n_alpha]
+    assert np.asarray(rep["trace_s"]).tobytes() == problem.trace.s.tobytes()
+    assert (np.asarray(rep["boundary_map"]).tobytes()
+            == harness.boundary_height(problem, alpha_map).tobytes())
+    cov_aa = result.laplace.covariance[:n_alpha, :n_alpha]
+    height_cov = problem.mesh.H ** 2 * problem.basis.Vs @ cov_aa @ problem.basis.Vs.T
+    np.testing.assert_allclose(rep["boundary_std"], np.sqrt(np.diag(height_cov)),
+                               rtol=0, atol=1e-15)
+    assert np.asarray(rep["marginal_std"]).tobytes() == result.laplace.marginal_std.tobytes()
+    assert len(rep["boundary_std"]) == len(rep["beta_map"]) == problem.q
+    assert np.all(np.asarray(rep["boundary_std"]) > 0)
 
 
 @pytest.mark.parametrize("gn", [{}, {"max_iters": 0}])
@@ -570,12 +613,10 @@ def test_cli_reproduce_example_with_config(tmp_path):
     assert written["truth_profile"] == "example3"
     assert written["output_dir"] == cfg.output_dir
     assert sorted(os.listdir(cfg.output_dir)) == [
-        "boundary_envelope_laplace.csv", "chain.csv", "config.json", "dataset.csv",
-        "dataset.json", "map_report.json", "mcmc_summary.json",
-        "robin_envelope_laplace.csv"]
+        "chain.csv", "config.json", "dataset.json", "map_report.json", "mcmc_summary.json"]
     # the dataset is the one generate-data writes for example3
     ds = generate_data(dataclasses.replace(cfg, truth_profile="example3"))
-    assert np.array_equal(SyntheticDataset.from_files(
+    assert np.array_equal(SyntheticDataset.from_file(
         os.path.join(cfg.output_dir, "dataset.json")).y, ds.y)
 
 
@@ -595,7 +636,7 @@ def test_cli_map_rejects_zero_noise_level(tmp_path, capsys):
     for overrides in ({"noise_percent": 0.0}, {"n_loads": 1, "n_sensors": 1}):
         path, cfg = write_config(tmp_path, **overrides)
         assert cli.main(["generate-data", "--config", path]) == 0
-        assert SyntheticDataset.from_files(
+        assert SyntheticDataset.from_file(
             os.path.join(cfg.output_dir, "dataset.json")).delta_e == 0.0
         assert cli.main(["map", "--config", path]) == 1
         assert "noise level must be positive" in capsys.readouterr().err

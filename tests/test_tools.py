@@ -50,6 +50,25 @@ def test_bench_pair_creates_its_out_dir_before_the_first_run(tmp_path, monkeypat
     assert sorted(p.name for p in out.iterdir()) == ["BENCH_x-parent.json", "BENCH_x.json"]
 
 
+def test_bench_pair_runs_the_workloads_benchmark_json_declares(tmp_path, monkeypatch):
+    bench_pair = load_bench_pair()
+    declared = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    runs = []
+
+    def run_once(checkout, workload, seed, seconds, trace):
+        runs.append(workload)
+        return {"workload": workload, "seed": seed, "trace": trace, "command": "",
+                "exit": 0, "result": None}
+
+    monkeypatch.setattr(bench_pair, "run_once", run_once)
+    monkeypatch.setattr(bench_pair, "git", lambda checkout, *args: "0" * 40 if
+                        args[0] == "rev-parse" else "")
+    assert bench_pair.main(["--parent", str(tmp_path), "--label", "x", "--seeds", "1",
+                            "--traced", "--out-dir", str(tmp_path / "out")]) == 0
+    # by default each declared workload, once per side and seed
+    assert runs[::2] == declared and sorted(runs) == sorted(declared * 2)
+
+
 def bench_doc(label, op_s, rss, traced_op_s):
     """A BENCH document of mala-desk runs with the given op_s and peak_rss_mb
     per seed 1, 2, ..., plus one traced run and one run that returned nothing."""

@@ -6,9 +6,10 @@
         [--traced mala-desk:31] [--machine "2-core shared VM"] [--out-dir .]
     python3 tools/bench_pair.py --summarize BENCH_NAME-parent.json BENCH_NAME.json
 
-For every seed and workload it runs ``perfbench/run.py`` once in each
-checkout, parent and change alternating which goes first, and keeps the last
-line of standard output, the run's JSON result.  Each ``--traced
+For every seed and workload (by default every workload ``BENCHMARK.json``
+declares) it runs ``perfbench/run.py`` once in each checkout, parent and
+change alternating which goes first, and keeps the last line of standard
+output, the run's JSON result.  Each ``--traced
 WORKLOAD:SEED`` adds one ``--trace 1`` run per checkout.  The results go to
 ``BENCH_<NAME>-parent.json`` and ``BENCH_<NAME>.json`` in ``--out-dir``, each
 with the checkout's git SHA and the Python, numpy and scipy versions of the
@@ -33,7 +34,9 @@ import sys
 from importlib.metadata import version
 from pathlib import Path
 
-WORKLOADS = ("map-laplace", "mala-desk", "mala-surrogate")
+ROOT = Path(__file__).resolve().parent.parent
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+WORKLOADS = tuple(w["name"] for w in BENCHMARK["workloads"])
 NOTE = ("last JSON line of perfbench/run.py per workload and seed; "
         "parent and change runs alternated on the same host")
 
@@ -59,8 +62,7 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: in
 
 def end_to_end_metrics() -> list:
     """(name, better) of the end-to-end metrics that BENCHMARK.json declares."""
-    spec = json.loads((Path(__file__).resolve().parent.parent / "BENCHMARK.json").read_text())
-    return [(m["name"], m["better"]) for m in spec["end_to_end"]]
+    return [(m["name"], m["better"]) for m in BENCHMARK["end_to_end"]]
 
 
 def metric_values(doc: dict, metric: str) -> dict:
@@ -106,7 +108,7 @@ def main(argv=None) -> int:
     ap.add_argument("--summarize", nargs=2, type=Path, metavar=("PARENT_JSON", "CHANGE_JSON"),
                     help="print the summary of two BENCH files and run nothing")
     ap.add_argument("--parent", type=Path)
-    ap.add_argument("--change", type=Path, default=Path(__file__).resolve().parent.parent)
+    ap.add_argument("--change", type=Path, default=ROOT)
     ap.add_argument("--label")
     ap.add_argument("--seeds", type=int, nargs="+", default=[31, 32, 33])
     ap.add_argument("--seconds", type=float, default=25.0)
