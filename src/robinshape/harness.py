@@ -99,6 +99,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        if not isinstance(d, dict):
+            raise ConfigError(f"a config must be an object, not {type(d).__name__}")
         unknown = set(d) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -261,7 +263,7 @@ class SyntheticDataset:
         with open(path) as fh:
             doc = json.load(fh)
         names = [f.name for f in dataclasses.fields(cls)]
-        missing = [name for name in names if name not in doc]
+        missing = [n for n in names if n not in doc] if isinstance(doc, dict) else names
         if missing:
             raise ValueError(f"dataset {path} lacks the fields {missing}")
         return cls(**{name: np.asarray(doc[name]) if isinstance(doc[name], list) else doc[name]

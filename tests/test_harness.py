@@ -119,6 +119,14 @@ def test_mistyped_nested_setting_is_a_config_error(tmp_path, capsys, bad):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("text", ["5", "[1]", '"x"'])
+def test_config_that_is_not_an_object_exits_1(tmp_path, capsys, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert cli.main(["generate-data", "--config", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: a config must be an object")
+
+
 def test_atomic_write_mode_follows_umask(tmp_path):
     old = os.umask(0o022)
     try:
@@ -324,6 +332,10 @@ def test_dataset_file_lacking_fields_is_rejected(tmp_path, capsys):
                                              for a, b in zip(ds.y, ds.y_noiseless)))
     with pytest.raises(ValueError, match=r"\['y', 'y_noiseless'\]"):
         SyntheticDataset.from_file(os.path.join(cfg.output_dir, "dataset.json"))
+    # a file that is not a JSON object lacks every field
+    (tmp_path / "five.json").write_text("5")
+    with pytest.raises(ValueError, match="'y', 'y_noiseless', 'delta_e'"):
+        SyntheticDataset.from_file(str(tmp_path / "five.json"))
     for command in ("map", "sample"):
         assert cli.main([command, "--config", path]) == 1
         err = capsys.readouterr().err
