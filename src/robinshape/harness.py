@@ -110,7 +110,7 @@ class ExperimentConfig:
                 if isinstance(kwargs.get(key), dict):
                     kwargs[key] = tp(**kwargs[key])
             return cls(**kwargs)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:  # an int too large for a float
             raise ConfigError(str(exc)) from exc
 
     def to_json(self) -> str:

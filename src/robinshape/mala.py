@@ -17,6 +17,13 @@ from scipy.special import stdtrit
 # weight offset of the adaptation: keeps the early gamma small so the
 # initial proposal covariance is not wiped out by the first few updates
 _T_OFFSET = 100
+# the step size is tuned from _TAU_INIT to MALA's optimal acceptance rate
+# (Roberts & Rosenthal 1998) with diminishing Robbins-Monro weights
+# t^(-_ADAPT_EXPONENT), an exponent in (1/2, 1] (Andrieu & Thoms 2008)
+_TARGET_ACCEPT = 0.574
+_ADAPT_EXPONENT = 0.6
+_TAU_INIT = 0.1
+_REFRESH_EVERY = 100
 _CONFIDENCE = 0.98
 
 
@@ -28,26 +35,19 @@ class MalaSettings:
     max_steps: int = 400_000
     check_interval: int = 5_000
     mcse_threshold: float = 0.1
-    target_accept: float = 0.574
-    adapt_exponent: float = 0.6
-    refresh_every: int = 100
-    tau_init: float = 0.1
 
     def __post_init__(self):
-        counts = (self.burn_in, self.max_steps, self.check_interval, self.refresh_every)
+        counts = (self.burn_in, self.max_steps, self.check_interval)
         if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in counts):
-            raise ValueError("burn_in, max_steps, check_interval and refresh_every "
-                             "must be integers")
+            raise ValueError("burn_in, max_steps and check_interval must be integers")
         if self.burn_in < 0:
             raise ValueError("burn_in must be non-negative")
         if self.max_steps < 100:
             raise ValueError("max_steps must be at least 100, the batch-means minimum")
-        if self.check_interval < 1 or self.refresh_every < 1:
-            raise ValueError("check_interval and refresh_every must be at least 1")
-        if not (self.mcse_threshold > 0 and self.tau_init > 0 and self.adapt_exponent > 0):
-            raise ValueError("mcse_threshold, tau_init and adapt_exponent must be positive")
-        if not 0 < self.target_accept < 1:
-            raise ValueError("target_accept must lie strictly between 0 and 1")
+        if self.check_interval < 1:
+            raise ValueError("check_interval must be at least 1")
+        if not (math.isfinite(self.mcse_threshold) and self.mcse_threshold > 0):
+            raise ValueError("mcse_threshold must be positive and finite")
 
 
 @dataclass
@@ -70,10 +70,10 @@ class ChainState:
 @dataclass
 class AdaptState:
     """Proposal covariance A = chol_A chol_A^T, kept as the factor the step
-    reads, and log step size, adapted with weights t^(-settings.adapt_exponent).
+    reads, and log step size, adapted with weights t^(-_ADAPT_EXPONENT).
 
     mean and log_tau change at every step, cov only at a refresh (every
-    k = settings.refresh_every steps): the deviations x_t - mean_t wait as the
+    k = _REFRESH_EVERY steps): the deviations x_t - mean_t wait as the
     rows of ``deviations`` = D, and the refresh applies the exact identity
     (t + T0) cov_t = (t + T0 - k) cov_{t-k} + D^T D of the per-step recursion."""
 
@@ -81,8 +81,7 @@ class AdaptState:
     log_tau: float
     mean: np.ndarray
     cov: np.ndarray
-    deviations: np.ndarray  # (refresh_every, n)
-    settings: MalaSettings
+    deviations: np.ndarray  # (_REFRESH_EVERY, n)
     t: int = 0
 
     @property
@@ -90,14 +89,12 @@ class AdaptState:
         return float(np.exp(self.log_tau))
 
 
-def make_adapt_state(A_init: np.ndarray, mean_init: np.ndarray,
-                     settings: MalaSettings) -> AdaptState:
+def make_adapt_state(A_init: np.ndarray, mean_init: np.ndarray) -> AdaptState:
     cov = np.asarray(A_init, dtype=float).copy()
     return AdaptState(chol_A=sla.cholesky(cov, lower=True),
-                      log_tau=float(np.log(settings.tau_init)),
+                      log_tau=float(np.log(_TAU_INIT)),
                       mean=np.asarray(mean_init, dtype=float).copy(), cov=cov,
-                      deviations=np.empty((settings.refresh_every, cov.shape[0])),
-                      settings=settings)
+                      deviations=np.empty((_REFRESH_EVERY, cov.shape[0])))
 
 
 def mala_step(state: ChainState, adapt_state: AdaptState, target, rng,
@@ -152,20 +149,18 @@ def adapt(adapt_state: AdaptState, sample: np.ndarray, accept_prob: float):
     The covariance uses running-average (1/t) weights, so it converges to the
     empirical covariance of the whole history; the offset acts as pseudo
     observations of the initial proposal covariance.  The step size uses the
-    faster diminishing t^(-adapt_exponent) weights.  The covariance is brought
-    up to date only at a refresh (see AdaptState)."""
-    settings = adapt_state.settings
-    row = adapt_state.t % settings.refresh_every
+    faster diminishing t^(-_ADAPT_EXPONENT) weights, toward the acceptance
+    rate _TARGET_ACCEPT.  The covariance is brought up to date only at a
+    refresh (see AdaptState)."""
+    row = adapt_state.t % _REFRESH_EVERY
     adapt_state.t += 1
     t_eff = adapt_state.t + _T_OFFSET
     adapt_state.mean += (1.0 / t_eff) * (sample - adapt_state.mean)
     np.subtract(sample, adapt_state.mean, out=adapt_state.deviations[row])
-    adapt_state.log_tau += t_eff ** (-settings.adapt_exponent) * (
-        accept_prob - settings.target_accept)
-    if row + 1 == settings.refresh_every:
+    adapt_state.log_tau += t_eff ** (-_ADAPT_EXPONENT) * (accept_prob - _TARGET_ACCEPT)
+    if row + 1 == _REFRESH_EVERY:
         D = adapt_state.deviations
-        adapt_state.cov = ((t_eff - settings.refresh_every) * adapt_state.cov
-                           + D.T @ D) / t_eff
+        adapt_state.cov = ((t_eff - _REFRESH_EVERY) * adapt_state.cov + D.T @ D) / t_eff
         refresh_proposal(adapt_state)
     return adapt_state
 
@@ -268,16 +263,20 @@ def run_chain(m_init: np.ndarray, A_init: np.ndarray, target, rng,
     if not np.isfinite(J0):
         raise ValueError("initial chain state has infinite potential")
     state = ChainState(m=m0, J=J0, grad=g0)
-    ad = make_adapt_state(A_init, m0, s)
+    ad = make_adapt_state(A_init, m0)
+    # allocated before the burn-in, so that a record too large to hold fails
+    # before any step; the pages are mapped only as rows are written
+    try:
+        samples = np.empty((s.max_steps, m0.size))
+        J_trace = np.empty(s.max_steps)
+        accept_flags = np.zeros(s.max_steps, dtype=bool)
+    except (MemoryError, ValueError) as exc:
+        raise ValueError(f"cannot hold max_steps={s.max_steps} recorded steps: {exc}") from exc
 
     for _ in range(s.burn_in):
         ap = mala_step(state, ad, target, rng)
         adapt(ad, state.m, ap)
 
-    n = m0.size
-    samples = np.empty((s.max_steps, n))
-    J_trace = np.empty(s.max_steps)
-    accept_flags = np.zeros(s.max_steps, dtype=bool)
     rate_trace = []
     converged = False
     recorded = 0

@@ -4,6 +4,7 @@ reports the GN Hessian at the iterate it returns, and the Laplace covariance
 is its inverse, so the MAP point is linearised once."""
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -11,6 +12,7 @@ import numpy as np
 import scipy.linalg as sla
 
 
+_C1 = 1e-4  # Armijo sufficient-decrease constant
 _BACKTRACK_FACTOR = 0.5
 _MIN_STEP = 1e-14
 # declare convergence when no decrease beyond roundoff scale is possible
@@ -25,17 +27,14 @@ class GaussNewtonOptions:
 
     max_iters: int = 100
     grad_reduction: float = 1e5
-    c1: float = 1e-4
 
     def __post_init__(self):
         if not isinstance(self.max_iters, numbers.Integral) or isinstance(self.max_iters, bool):
             raise ValueError("max_iters must be an integer")
         if self.max_iters < 0:
             raise ValueError("max_iters must be non-negative")
-        if not self.grad_reduction >= 1:
-            raise ValueError("grad_reduction must be at least 1")
-        if not 0 < self.c1 < 1:
-            raise ValueError("c1 must lie strictly between 0 and 1")
+        if not (math.isfinite(self.grad_reduction) and self.grad_reduction >= 1):
+            raise ValueError("grad_reduction must be finite and at least 1")
 
 
 @dataclass
@@ -117,7 +116,7 @@ def gauss_newton(problem, m0: np.ndarray,
         while step >= _MIN_STEP:
             trial = m + step * delta
             J_trial = problem.potential_value(trial)
-            if np.isfinite(J_trial) and J_trial <= J + opts.c1 * step * slope:
+            if np.isfinite(J_trial) and J_trial <= J + _C1 * step * slope:
                 break
             step *= _BACKTRACK_FACTOR
         else:  # no acceptable step down to _MIN_STEP

@@ -1,11 +1,15 @@
 import dataclasses
 import io
 import json
+import math
+import numbers
 import os
 import types
+import typing
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from robinshape import cli, fem, harness, mala, optimize
 from robinshape.geometry import BoundaryShape, fourier_basis
@@ -46,10 +50,14 @@ def test_config_roundtrip_and_defaults():
 def test_config_rejects_unknown_keys():
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict({"n_loads": 8, "bogus": 1})
-    # nested keys, including options that are constants of the algorithms
+    # nested keys, including options that are constants of the algorithms,
+    # at their values, in range or not
     for d in ({"fine_mesh": {"nx": 10, "ny": 2, "nz": 3}},
               {"gn": {"stationary_tol": 1e-12}}, {"gn": {"backtrack_factor": 0.5}},
-              {"mala": {"enabled": False}}):
+              {"mala": {"enabled": False}}, {"gn": {"c1": 1e-4}}, {"gn": {"c1": 0.0}},
+              {"mala": {"target_accept": 0.574}}, {"mala": {"adapt_exponent": 0.6}},
+              {"mala": {"refresh_every": 100}}, {"mala": {"tau_init": 0.1}},
+              {"mala": {"refresh_every": 0}}, {"mala": {"tau_init": 0.0}}):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(d)
     with pytest.raises(ConfigError):
@@ -74,8 +82,7 @@ def test_config_rejects_unknown_keys():
 def test_out_of_range_settings_rejected_before_any_work(tmp_path):
     out = tmp_path / "out"
     # counts must be integers: a float or a bool would load and fail late
-    for bad in ({"mala": {"check_interval": 0}}, {"mala": {"refresh_every": 0}},
-                {"mala": {"tau_init": 0.0}}, {"gn": {"c1": 0.0}},
+    for bad in ({"mala": {"check_interval": 0}},
                 {"mala": {"max_steps": 150.5, "burn_in": 10}}, {"mala": {"burn_in": 10.0}},
                 {"gn": {"max_iters": 5.5}}, {"mala": {"check_interval": True}},
                 {"inversion_mesh": {"nx": 77.5, "ny": 7}},
@@ -87,7 +94,13 @@ def test_out_of_range_settings_rejected_before_any_work(tmp_path):
                 # non-finite numbers would load and fail late, or write inf data
                 *({name: value} for name in ("L", "H", "s_alpha", "sigma_alpha2",
                                               "delta_beta2", "corr_l", "noise_percent")
-                  for value in (float("inf"), float("nan")))):
+                  for value in (float("inf"), float("nan"))),
+                # an infinite MCSE threshold stops a chain at its first check,
+                # and an infinite gradient reduction never stops Gauss-Newton
+                {"mala": {"mcse_threshold": float("inf")}},
+                {"gn": {"grad_reduction": float("inf")}},
+                # an integer too large for a float
+                {"L": 10**400}, {"mala": {"mcse_threshold": 10**400}}):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(bad)
         path = str(tmp_path / "bad.json")
@@ -96,9 +109,44 @@ def test_out_of_range_settings_rejected_before_any_work(tmp_path):
         assert cli.main(["generate-data", "--config", path]) == 1
     assert not out.exists()
     # float settings still take integers
-    cfg = ExperimentConfig.from_dict({"mala": {"tau_init": 1, "mcse_threshold": 1},
+    cfg = ExperimentConfig.from_dict({"mala": {"mcse_threshold": 1},
                                       "gn": {"grad_reduction": 100}})
-    assert cfg.mala.tau_init == 1 and cfg.gn.grad_reduction == 100
+    assert cfg.mala.mcse_threshold == 1 and cfg.gn.grad_reduction == 100
+
+
+SETTING_VALUES = st.one_of(st.integers(), st.floats(), st.booleans(), st.text(max_size=3),
+                           st.none(), st.lists(st.integers(), max_size=2))
+# the least a settings object needs to load
+REQUIRED = {"fine_mesh": {"nx": 60, "ny": 4}, "inversion_mesh": {"nx": 24, "ny": 2}}
+
+
+def setting_keys(tp):
+    return [f.name for f in dataclasses.fields(tp)] + ["unknown"]
+
+
+@given(st.fixed_dictionaries({}, optional={
+           name: st.dictionaries(st.sampled_from(setting_keys(tp)), SETTING_VALUES)
+           for name, tp in harness.NESTED.items()}),
+       SETTING_VALUES)
+@example(d={}, value=math.inf)  # the derandomized draws hold no infinity
+def test_loaded_settings_are_integers_and_finite_numbers(d, value):
+    # nested settings either fail on load or hold integer counts (not bools)
+    # and finite numbers; a dict of many drawn values seldom loads, so the
+    # drawn value also goes alone into each key of each settings object
+    single = [{name: {**REQUIRED.get(name, {}), key: value}}
+              for name, tp in harness.NESTED.items() for key in setting_keys(tp)]
+    for case in (d, *single):
+        try:
+            cfg = ExperimentConfig.from_dict(case)
+        except ConfigError:
+            continue
+        for name, tp in harness.NESTED.items():
+            for key, hint in typing.get_type_hints(tp).items():
+                got = getattr(getattr(cfg, name), key)
+                if hint is int:
+                    assert isinstance(got, numbers.Integral) and not isinstance(got, bool)
+                else:
+                    assert math.isfinite(got), (name, key, got)
 
 
 @pytest.mark.parametrize("bad", [{"fine_mesh": [229, 10]}, {"gn": 5}, {"mala": "x"},
@@ -640,6 +688,17 @@ def test_cli_sample_after_failed_map_exits_2(tmp_path):
     assert cli.main(["sample", "--config", path]) == 2
     with open(os.path.join(cfg.output_dir, "map_report.json")) as fh:
         assert json.load(fh)["gauss_newton"]["reason"] == "iteration cap"
+
+
+def test_cli_sample_chain_too_large_to_hold_exits_1(tmp_path, capsys):
+    # 10**15 recorded rows cannot be mapped on a 64-bit host: the chain
+    # fails before its burn-in with a message naming max_steps
+    path, _ = write_config(tmp_path, mala={"burn_in": 10, "max_steps": 10**15})
+    assert cli.main(["generate-data", "--config", path]) == 0
+    capsys.readouterr()
+    assert cli.main(["sample", "--config", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "max_steps" in err and "Traceback" not in err
 
 
 def test_cli_map_rejects_zero_noise_level(tmp_path, capsys):

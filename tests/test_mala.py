@@ -8,10 +8,9 @@ from scipy import stats
 
 from conftest import LinearGaussianProblem
 from robinshape import mala
-from robinshape.mala import (_T_OFFSET, ChainState, MalaSettings, adapt,
-                             gelman_rubin, make_adapt_state, mala_step,
-                             mcse_batch_means, mcse_halfwidth, run_chain,
-                             skewness, stopping_rule)
+from robinshape.mala import (_T_OFFSET, ChainState, adapt, gelman_rubin,
+                             make_adapt_state, mala_step, mcse_batch_means,
+                             mcse_halfwidth, run_chain, skewness, stopping_rule)
 
 
 def gaussian_target(mean, cov):
@@ -22,6 +21,13 @@ def gaussian_target(mean, cov):
         return 0.5 * float(d @ prec @ d), prec @ d
 
     return target
+
+
+def adapt_state_at(A_init, mean_init, tau):
+    """make_adapt_state with the step size set to tau."""
+    ad = make_adapt_state(A_init, mean_init)
+    ad.log_tau = np.log(tau)
+    return ad
 
 
 def fresh_state(m0, target):
@@ -37,7 +43,7 @@ def test_quadratic_form_matches_inverse():
     G = rng.standard_normal((5, 5))
     A = G @ G.T + 2 * np.eye(5)
     A_inv, C = np.linalg.inv(A), np.linalg.cholesky(A)
-    ad = make_adapt_state(A, np.zeros(5), MalaSettings(tau_init=0.05))
+    ad = adapt_state_at(A, np.zeros(5), 0.05)
     tau = ad.tau
 
     def log_q(to, frm, grad):
@@ -69,7 +75,7 @@ def test_reverse_kernel_overflow_is_counted_rejection(grad_prop):
     def target(m):
         return 0.0, np.zeros(2) if np.array_equal(m, m0) else np.array(grad_prop)
 
-    ad = make_adapt_state(np.array([[1.0, 0.9], [0.9, 1.0]]), m0, MalaSettings(tau_init=0.5))
+    ad = adapt_state_at(np.array([[1.0, 0.9], [0.9, 1.0]]), m0, 0.5)
     state = fresh_state(m0, target)
     log_tau = ad.log_tau
     with np.errstate(over="ignore", invalid="ignore"):
@@ -87,7 +93,7 @@ def test_flat_target_always_accepts():
         return 0.0, np.zeros_like(m)
 
     rng = np.random.default_rng(1)
-    ad = make_adapt_state(np.eye(3), np.zeros(3), MalaSettings(tau_init=0.5))
+    ad = adapt_state_at(np.eye(3), np.zeros(3), 0.5)
     state = fresh_state(np.zeros(3), target)
     for _ in range(50):
         ap = mala_step(state, ad, target, rng)
@@ -100,7 +106,7 @@ def test_drift_only_proposal():
     mean = np.array([1.0, -2.0])
     target = gaussian_target(mean, np.eye(2))
     rng = np.random.default_rng(2)
-    ad = make_adapt_state(np.diag([2.0, 0.5]), np.zeros(2), MalaSettings(tau_init=0.05))
+    ad = adapt_state_at(np.diag([2.0, 0.5]), np.zeros(2), 0.05)
     m0 = np.array([3.0, 3.0])
     state = fresh_state(m0, target)
     expected = m0 - ad.tau * (ad.chol_A @ ad.chol_A.T) @ state.grad
@@ -117,7 +123,7 @@ def test_invalid_proposal_auto_rejects():
         return 0.0, np.zeros_like(m)
 
     rng = np.random.default_rng(3)
-    ad = make_adapt_state(np.eye(1), np.zeros(1), MalaSettings(tau_init=0.5))
+    ad = adapt_state_at(np.eye(1), np.zeros(1), 0.5)
     state = fresh_state(np.array([1.49]), target)
     m_before = state.m.copy()
     rejected = 0
@@ -135,7 +141,7 @@ def test_invalid_proposal_auto_rejects():
 def test_one_dim_standard_normal_moments():
     target = gaussian_target(np.zeros(1), np.eye(1))
     rng = np.random.default_rng(4)
-    ad = make_adapt_state(np.eye(1), np.zeros(1), MalaSettings(tau_init=0.01))
+    ad = adapt_state_at(np.eye(1), np.zeros(1), 0.01)
     state = fresh_state(np.zeros(1), target)
     n = 60_000
     xs = np.empty(n)
@@ -157,7 +163,7 @@ def test_detailed_balance_frozen_proposal():
     cov = np.array([[1.0, 0.6], [0.6, 1.0]])
     target = gaussian_target(np.zeros(2), cov)
     rng = np.random.default_rng(5)
-    ad = make_adapt_state(cov, np.zeros(2), MalaSettings(tau_init=0.4))
+    ad = adapt_state_at(cov, np.zeros(2), 0.4)
     state = fresh_state(np.zeros(2), target)
     n = 120_000
     xs = np.empty((n, 2))
@@ -169,12 +175,12 @@ def test_detailed_balance_frozen_proposal():
 
 
 def test_step_size_adaptation_direction():
-    ad = make_adapt_state(np.eye(2), np.zeros(2), MalaSettings(tau_init=0.1))
+    ad = adapt_state_at(np.eye(2), np.zeros(2), 0.1)
     lt0 = ad.log_tau
     for _ in range(50):
         adapt(ad, np.zeros(2), accept_prob=1.0)
     assert ad.log_tau > lt0  # accepting everything drives the step size up
-    ad2 = make_adapt_state(np.eye(2), np.zeros(2), MalaSettings(tau_init=0.1))
+    ad2 = adapt_state_at(np.eye(2), np.zeros(2), 0.1)
     for _ in range(50):
         adapt(ad2, np.zeros(2), accept_prob=0.0)
     assert ad2.log_tau < lt0
@@ -184,21 +190,21 @@ def test_covariance_adaptation_converges():
     rng = np.random.default_rng(6)
     C_true = np.array([[2.0, -0.8], [-0.8, 1.0]])
     L = sla.cholesky(C_true, lower=True)
-    ad = make_adapt_state(np.eye(2), np.zeros(2),
-                          MalaSettings(tau_init=0.1, refresh_every=100))
+    ad = make_adapt_state(np.eye(2), np.zeros(2))
     for _ in range(100_000):
         adapt(ad, L @ rng.standard_normal(2), accept_prob=0.574)
     err = np.linalg.norm(ad.chol_A @ ad.chol_A.T - C_true) / np.linalg.norm(C_true)
     assert err < 0.05
 
 
-def test_batched_covariance_update_is_exact():
+def test_batched_covariance_update_is_exact(monkeypatch):
     # the refresh-time update against the per-step running-average recursion
     rng = np.random.default_rng(12)
     n, k = 4, 100
+    monkeypatch.setattr(mala, "_REFRESH_EVERY", k)
     L = np.tril(rng.standard_normal((n, n))) + 3 * np.eye(n)
     A0 = np.diag([1.0, 2.0, 0.5, 1.5])
-    ad = make_adapt_state(A0, np.ones(n), MalaSettings(refresh_every=k))
+    ad = make_adapt_state(A0, np.ones(n))
     mean, cov = np.ones(n), A0.copy()
 
     def rel(a, b):
@@ -321,6 +327,20 @@ def test_run_chain_rejects_invalid_start():
         run_chain(np.zeros(2), np.eye(2), target, np.random.default_rng(0))
 
 
+def test_run_chain_record_too_large_to_hold_fails_before_the_burn_in():
+    # 10**15 rows cannot be mapped on a 64-bit host, so no memory is touched
+    calls = []
+
+    def target(m):
+        calls.append(None)
+        return 0.0, np.zeros_like(m)
+
+    with pytest.raises(ValueError, match="max_steps"):
+        run_chain(np.zeros(2), np.eye(2), target, np.random.default_rng(0),
+                  burn_in=10, max_steps=10**15)
+    assert len(calls) == 1  # the initial state only
+
+
 def recomputing_step(state, adapt_state, target, rng):
     """mala_step's formulas with C^T grad J(m) recomputed at every step
     instead of kept in the chain state."""
@@ -346,7 +366,7 @@ def recomputing_step(state, adapt_state, target, rng):
     return accept_prob
 
 
-def test_kept_whitened_gradient_matches_recomputed_step():
+def test_kept_whitened_gradient_matches_recomputed_step(monkeypatch):
     # keeping w = C^T grad J(m) from the accepted proposal, and recomputing
     # it only after a refresh has replaced C, gives bitwise the chain of a
     # step that recomputes it at every step
@@ -361,11 +381,11 @@ def test_kept_whitened_gradient_matches_recomputed_step():
                 + prob.prior_precision @ (m - prob.prior_mean))
         return prob.potential_value(m), grad
 
-    settings = MalaSettings(refresh_every=7, tau_init=0.01)
+    monkeypatch.setattr(mala, "_REFRESH_EVERY", 7)
     runs = []
     for step in (mala_step, recomputing_step):
         chain_rng = np.random.default_rng(5)
-        ad = make_adapt_state(np.eye(n) / n, np.zeros(n), settings)
+        ad = adapt_state_at(np.eye(n) / n, np.zeros(n), 0.01)
         state = fresh_state(np.zeros(n), target)
         trace = []
         for _ in range(300):
@@ -420,6 +440,7 @@ def test_run_chain_is_bitwise_the_reference_step(monkeypatch):
     n = 12
     B = rng.standard_normal((n, n))
     gaussian = gaussian_target(rng.standard_normal(n), B @ B.T / n + 0.5 * np.eye(n))
+    monkeypatch.setattr(mala, "_REFRESH_EVERY", 50)
 
     def run():
         calls = []
@@ -430,7 +451,7 @@ def test_run_chain_is_bitwise_the_reference_step(monkeypatch):
             return (np.inf, None) if len(calls) == 40 else gaussian(m)
 
         return run_chain(np.zeros(n), np.eye(n) / n, target, np.random.default_rng(8),
-                         burn_in=200, max_steps=1000, check_interval=500, refresh_every=50)
+                         burn_in=200, max_steps=1000, check_interval=500)
 
     out = run()
     monkeypatch.setattr(mala, "mala_step", reference_step)
@@ -443,11 +464,12 @@ def test_run_chain_is_bitwise_the_reference_step(monkeypatch):
     assert out.final_tau == ref.final_tau and out.converged == ref.converged
 
 
-def test_rejected_rows_repeat_the_row_above():
+def test_rejected_rows_repeat_the_row_above(monkeypatch):
     # a rejected step, an invalid proposal included, leaves the state and J
     # untouched, so every recorded row after the first whose flag is 0 is
     # bitwise the row above: chain_csv reuses that row's text
     n = 4
+    monkeypatch.setattr(mala, "_REFRESH_EVERY", 20)
     gaussian = gaussian_target(np.zeros(n), np.eye(n))
     calls = []
 
@@ -457,7 +479,7 @@ def test_rejected_rows_repeat_the_row_above():
         return (np.inf, None) if len(calls) % 7 == 0 else gaussian(m)
 
     out = run_chain(np.zeros(n), np.eye(n), target, np.random.default_rng(3),
-                    burn_in=50, max_steps=600, check_interval=600, refresh_every=20)
+                    burn_in=50, max_steps=600, check_interval=600)
     assert out.n_invalid >= 600 // 7
     flags = out.accept_flags
     assert 0 < flags.sum() < flags.size

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+from robinshape.harness import ExperimentConfig
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -105,3 +107,11 @@ def test_bench_pair_summarizes_two_bench_files(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "mala-desk       op_s" in printed and "4/5" in printed
     assert "setup_s" not in printed  # no run carries it
+
+
+def test_readme_example_config_loads():
+    # the README's example config takes only keys that a config still has
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("```json\n", 1)[1].split("```", 1)[0]
+    cfg = ExperimentConfig.from_dict(json.loads(block))
+    assert cfg.seed == 7 and cfg.gn.grad_reduction == 1e5 and cfg.mala.mcse_threshold == 0.1
