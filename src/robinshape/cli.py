@@ -1,9 +1,10 @@
 """Command-line interface.  Every command composes the stages `_write_data`,
 `_run_map` and `_run_map_and_mcmc`.
 
-Exit codes: 0 success, 1 invalid configuration or a file that cannot be
-read or written, 2 numerical failure (including a MAP that did not
-converge), 3 sampler step cap reached without convergence.
+Exit codes: 0 success, 1 invalid configuration, a file that cannot be
+read or written, or an array too large to allocate, 2 numerical failure
+(including a MAP that did not converge), 3 sampler step cap reached
+without convergence.
 """
 from __future__ import annotations
 
@@ -115,7 +116,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ConfigError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except SolverError as exc:

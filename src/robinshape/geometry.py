@@ -10,7 +10,7 @@ rule through a shape basis belongs to the caller.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,32 +40,6 @@ def fourier_basis(p: int, L: float, x):
         dvals[..., 1::2] = w * cos
         dvals[..., 2::2] = -w * sin
     return vals, dvals
-
-
-@dataclass(frozen=True)
-class BoundaryShape:
-    """Dimensionless height profile f(x1) = 1 + alpha . basis(x1)."""
-
-    alpha: np.ndarray
-    L: float = 1.0
-    H: float = 0.05
-    p: int = field(init=False)
-
-    def __post_init__(self):
-        alpha = np.asarray(self.alpha, dtype=float)
-        if alpha.ndim != 1 or alpha.size % 2 != 1:
-            raise ValueError("alpha must be a vector of odd length 2p+1")
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "p", (alpha.size - 1) // 2)
-
-    def eval(self, x1):
-        """Return (f, df/dx1) at x1 (scalar or array)."""
-        vals, dvals = fourier_basis(self.p, self.L, x1)
-        return 1.0 + vals @ self.alpha, dvals @ self.alpha
-
-    def min_f(self) -> float:
-        f, _ = self.eval(np.linspace(0.0, self.L, 16 * (self.p + 1), endpoint=False))
-        return float(np.min(f))
 
 
 @dataclass(frozen=True)

@@ -72,8 +72,8 @@ class ExperimentConfig:
     def __post_init__(self):
         for name in ("L", "H", "s_alpha", "sigma_alpha2", "delta_beta2", "corr_l",
                      "noise_percent"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite")
+            if isinstance(getattr(self, name), bool) or not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be a finite number")
         if not (self.L > 0 and self.H > 0):
             raise ConfigError("L and H must be positive")
         for name, least in (("n_loads", 1), ("n_sensors", 1), ("p", 0), ("seed", 0)):
@@ -151,36 +151,27 @@ def _smooth_cavity(x, center, halfwidth, steepness):
     return s((x - center + halfwidth) / steepness) * s((center + halfwidth - x) / steepness)
 
 
-# every key a config's truth_params may set, per profile, with its default;
-# None marks a key the profile needs
-TRUTH_PARAMS = {
-    "example1": {"depth": 0.2, "center": 0.5, "width": 0.12, "beta_base": 1.0,
-                 "beta_dip": 2.0, "beta_center": 0.6, "beta_width": 0.15},
-    "example2": {"noise_f": 0.01, "noise_beta": 0.05, "dip_depth": 0.25, "dip_center": 0.3,
-                 "dip_width": 0.15, "bump_height": 0.15, "bump_center": 0.8,
-                 "bump_width": 0.06, "beta_base": 0.5},
-    "example3": {"centers": (0.2, 0.5, 0.8), "depths": (0.35, 0.45, 0.4),
-                 "halfwidths": (0.05, 0.06, 0.05), "steepness": 0.008,
-                 "beta_base": 1.0, "beta_drop": 2.5},
-    "custom": dict.fromkeys(("f_x", "f_values", "beta_x", "beta_values")),
-}
+# the keys a config's truth_params must set, per profile: the paper's three
+# examples are fixed, and custom is given by its four sample arrays
+TRUTH_PARAMS = {"example1": (), "example2": (), "example3": (),
+                "custom": ("f_x", "f_values", "beta_x", "beta_values")}
 
 
 def truth_parameters(name: str, params: dict | None = None) -> dict:
-    """The parameters of truth profile name: its TRUTH_PARAMS row updated by
-    params.  Raises ConfigError for an unknown profile, an unknown key, a
+    """The parameters of truth profile name, checked against its TRUTH_PARAMS
+    row.  Raises ConfigError for an unknown profile, an unknown key, a
     missing required one, a value that is not finite numbers, or custom
     samples that are not strictly increasing or not as long as their values."""
     if name not in TRUTH_PARAMS:
         raise ConfigError(f"unknown truth profile {name!r}")
-    unknown = set(params or {}) - set(TRUTH_PARAMS[name])
+    params = params or {}
+    unknown = set(params) - set(TRUTH_PARAMS[name])
     if unknown:
         raise ConfigError(f"unknown {name} truth parameters: {sorted(unknown)}")
-    merged = {**TRUTH_PARAMS[name], **(params or {})}
-    missing = sorted(k for k, v in merged.items() if v is None)
+    missing = sorted(set(TRUTH_PARAMS[name]) - set(params))
     if missing:
         raise ConfigError(f"{name} truth needs the parameters {missing}")
-    for key, value in merged.items():
+    for key, value in params.items():
         try:
             finite = np.all(np.isfinite(np.asarray(value, dtype=float)))
         except (TypeError, ValueError):
@@ -189,11 +180,11 @@ def truth_parameters(name: str, params: dict | None = None) -> dict:
             raise ConfigError(f"truth profile {name!r}: parameter {key!r} must be finite numbers")
     if name == "custom":  # np.interp reads any other samples without an error
         for x_key, v_key in (("f_x", "f_values"), ("beta_x", "beta_values")):
-            x, v = (np.asarray(merged[k], dtype=float) for k in (x_key, v_key))
+            x, v = (np.asarray(params[k], dtype=float) for k in (x_key, v_key))
             if x.ndim != 1 or x.size == 0 or v.shape != x.shape or np.any(np.diff(x) <= 0.0):
                 raise ConfigError(f"custom truth: {x_key} must be strictly increasing, "
                                   f"non-empty and as long as {v_key}")
-    return merged
+    return params
 
 
 def truth_profiles(name: str, params: dict | None = None, L: float = 1.0,
@@ -208,27 +199,23 @@ def truth_profiles(name: str, params: dict | None = None, L: float = 1.0,
     x = np.linspace(0.0, L, 4096 + 1)
 
     if name == "example1":
-        fvals = 1.0 - P["depth"] * _gaussian_bump(x, P["center"], P["width"])
-        beta_fn = lambda s: (P["beta_base"] - P["beta_dip"]
-                             * _gaussian_bump(np.asarray(s), P["beta_center"], P["beta_width"]))
+        fvals = 1.0 - 0.2 * _gaussian_bump(x, 0.5, 0.12)
+        beta_fn = lambda s: 1.0 - 2.0 * _gaussian_bump(np.asarray(s), 0.6, 0.15)
     elif name == "example2":
         if rng is None:
             raise ValueError("example2 truth needs an rng for its white noise")
-        fvals = (1.0 - P["dip_depth"] * _gaussian_bump(x, P["dip_center"], P["dip_width"])
-                 + P["bump_height"] * _gaussian_bump(x, P["bump_center"], P["bump_width"]))
-        fvals = fvals + P["noise_f"] * rng.standard_normal(x.size)
-        beta_smooth = (P["beta_base"]
-                       - 1.5 * _gaussian_bump(x, 0.35, 0.18)
-                       + 1.0 * _gaussian_bump(x, 0.75, 0.1))
-        beta_vals = beta_smooth + P["noise_beta"] * rng.standard_normal(x.size)
+        fvals = (1.0 - 0.25 * _gaussian_bump(x, 0.3, 0.15) + 0.15 * _gaussian_bump(x, 0.8, 0.06)
+                 + 0.01 * rng.standard_normal(x.size))
+        beta_vals = (0.5 - 1.5 * _gaussian_bump(x, 0.35, 0.18) + 1.0 * _gaussian_bump(x, 0.75, 0.1)
+                     + 0.05 * rng.standard_normal(x.size))
         beta_fn = lambda s: np.interp(np.asarray(s), x, beta_vals)
     elif name == "example3":
         fvals = np.ones_like(x)
-        beta_vals = np.full_like(x, P["beta_base"])
-        for c, d, hw in zip(P["centers"], P["depths"], P["halfwidths"]):
-            cav = _smooth_cavity(x, c, hw, P["steepness"])
+        beta_vals = np.ones_like(x)
+        for c, d, hw in zip((0.2, 0.5, 0.8), (0.35, 0.45, 0.4), (0.05, 0.06, 0.05)):
+            cav = _smooth_cavity(x, c, hw, 0.008)
             fvals = fvals - d * cav
-            beta_vals = beta_vals - P["beta_drop"] * cav
+            beta_vals = beta_vals - 2.5 * cav
         beta_fn = lambda s: np.interp(np.asarray(s), x, beta_vals)
     else:  # custom
         fvals = np.interp(x, P["f_x"], P["f_values"])

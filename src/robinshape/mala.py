@@ -46,8 +46,9 @@ class MalaSettings:
             raise ValueError("max_steps must be at least 100, the batch-means minimum")
         if self.check_interval < 1:
             raise ValueError("check_interval must be at least 1")
-        if not (math.isfinite(self.mcse_threshold) and self.mcse_threshold > 0):
-            raise ValueError("mcse_threshold must be positive and finite")
+        if (isinstance(self.mcse_threshold, bool)
+                or not (math.isfinite(self.mcse_threshold) and self.mcse_threshold > 0)):
+            raise ValueError("mcse_threshold must be a positive finite number")
 
 
 @dataclass

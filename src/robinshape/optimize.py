@@ -33,8 +33,9 @@ class GaussNewtonOptions:
             raise ValueError("max_iters must be an integer")
         if self.max_iters < 0:
             raise ValueError("max_iters must be non-negative")
-        if not (math.isfinite(self.grad_reduction) and self.grad_reduction >= 1):
-            raise ValueError("grad_reduction must be finite and at least 1")
+        if (isinstance(self.grad_reduction, bool)
+                or not (math.isfinite(self.grad_reduction) and self.grad_reduction >= 1)):
+            raise ValueError("grad_reduction must be a finite number of at least 1")
 
 
 @dataclass

@@ -1,15 +1,15 @@
 """Shared builders for the test suite."""
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 from hypothesis import settings
 
-from robinshape import build_alpha_prior, build_beta_prior, joint_prior
 from robinshape import fem
-from robinshape.geometry import BoundaryShape, admittance_alpha_entries_from
+from robinshape.geometry import admittance_alpha_entries_from, fourier_basis
 from robinshape.inverse import Problem
+from robinshape.priors import build_alpha_prior, build_beta_prior, joint_prior
 
 # property tests draw their examples from a fixed seed and keep no example
 # database, so every run checks the same examples; max_examples bounds their
@@ -17,6 +17,32 @@ from robinshape.inverse import Problem
 settings.register_profile("robinshape", derandomize=True, database=None, deadline=None,
                           max_examples=60)
 settings.load_profile("robinshape")
+
+
+@dataclass(frozen=True)
+class BoundaryShape:
+    """Dimensionless height profile f(x1) = 1 + alpha . basis(x1)."""
+
+    alpha: np.ndarray
+    L: float = 1.0
+    H: float = 0.05
+    p: int = field(init=False)
+
+    def __post_init__(self):
+        alpha = np.asarray(self.alpha, dtype=float)
+        if alpha.ndim != 1 or alpha.size % 2 != 1:
+            raise ValueError("alpha must be a vector of odd length 2p+1")
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "p", (alpha.size - 1) // 2)
+
+    def eval(self, x1):
+        """Return (f, df/dx1) at x1 (scalar or array)."""
+        vals, dvals = fourier_basis(self.p, self.L, x1)
+        return 1.0 + vals @ self.alpha, dvals @ self.alpha
+
+    def min_f(self) -> float:
+        f, _ = self.eval(np.linspace(0.0, self.L, 16 * (self.p + 1), endpoint=False))
+        return float(np.min(f))
 
 
 def small_problem(nx=24, ny=3, p=3, n_loads=4, n_sensors=16, noise_std=0.005,

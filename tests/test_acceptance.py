@@ -8,14 +8,15 @@ import pytest
 import scipy.linalg as sla
 
 from robinshape import fem, mala
-from robinshape.geometry import BoundaryShape, pushforward_entries_from
+from robinshape.geometry import pushforward_entries_from
 from robinshape.harness import (ExperimentConfig, build_problem, generate_data,
                                 run_map, run_mcmc)
 from robinshape.mesh import build_slab_mesh, trace_of_top
 from robinshape.optimize import gauss_newton, laplace
 from robinshape.priors import build_beta_prior
 
-from conftest import LinearGaussianProblem, random_valid_parameters, small_problem
+from conftest import (BoundaryShape, LinearGaussianProblem, random_valid_parameters,
+                      small_problem)
 
 
 def verdict(number, label, ok):

@@ -5,9 +5,11 @@ import pytest
 import scipy.sparse as sp
 
 from robinshape import fem
-from robinshape.geometry import (BoundaryShape, InvalidShapeError,
-                                 admittance_factor_from, pushforward_entries_from)
+from robinshape.geometry import (InvalidShapeError, admittance_factor_from,
+                                 pushforward_entries_from)
 from robinshape.mesh import build_slab_mesh, trace_of_top
+
+from conftest import BoundaryShape
 
 
 def flat_shape(p=2):

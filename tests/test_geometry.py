@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from robinshape.geometry import (BoundaryShape, InvalidShapeError,
-                                 admittance_alpha_entries_from, admittance_factor_from,
-                                 fourier_basis, pushforward_alpha_entries_from,
-                                 pushforward_entries_from)
+from robinshape.geometry import (InvalidShapeError, admittance_alpha_entries_from,
+                                 admittance_factor_from, fourier_basis,
+                                 pushforward_alpha_entries_from, pushforward_entries_from)
+
+from conftest import BoundaryShape
 
 
 def tensor(shape, x1, x2):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from robinshape import cli, fem, harness, mala, optimize
-from robinshape.geometry import BoundaryShape, fourier_basis
+from robinshape.geometry import fourier_basis
 from robinshape.harness import (ConfigError, ExperimentConfig, MeshSpec,
                                 SyntheticDataset, build_problem, chain_csv,
                                 generate_data, run_map, run_mcmc,
@@ -20,6 +20,8 @@ from robinshape.harness import (ConfigError, ExperimentConfig, MeshSpec,
 from robinshape.inverse import Problem
 from robinshape.mesh import build_slab_mesh
 from robinshape.priors import build_alpha_prior, build_beta_prior, joint_prior
+
+from conftest import BoundaryShape
 
 
 def small_config(tmp_path, **overrides):
@@ -71,12 +73,16 @@ def test_config_rejects_unknown_keys():
     for d in ({"truth_profile": "example9"}, {"truth_params": {"dpeth": 0.4}},
               {"truth_profile": "example3", "truth_params": {"depth": 0.4}},
               {"truth_profile": "custom", "truth_params": {"f_x": [0.0, 1.0]}},
-              {"truth_params": {"depth": float("nan")}},
               *({"truth_profile": "custom", "truth_params": {**custom, "beta_values": [0.0, v]}}
                 for v in (float("inf"), float("nan"), "high"))):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(d)
-    assert ExperimentConfig.from_dict({"truth_params": {"depth": 0.4}}).truth_params == {"depth": 0.4}
+    # the paper's examples are fixed: each refuses the keys that once set its numbers
+    for profile, key in (("example1", "depth"), ("example2", "noise_f"), ("example3", "centers")):
+        with pytest.raises(ConfigError, match=f"unknown {profile} truth parameters"):
+            ExperimentConfig.from_dict({"truth_profile": profile, "truth_params": {key: 0.2}})
+    cfg = ExperimentConfig.from_dict({"truth_profile": "custom", "truth_params": custom})
+    assert cfg.truth_params == custom
 
 
 def test_out_of_range_settings_rejected_before_any_work(tmp_path):
@@ -91,14 +97,19 @@ def test_out_of_range_settings_rejected_before_any_work(tmp_path):
                 {"n_sensors": 4.5}, {"n_loads": 8.5}, {"p": 7.5}, {"seed": 2.0},
                 {"n_loads": True}, {"p": -1}, {"seed": -1}, {"sigma_alpha2": -1},
                 {"delta_beta2": 0.0}, {"corr_l": -10.0}, {"noise_percent": -1.0},
-                # non-finite numbers would load and fail late, or write inf data
+                # non-finite numbers would load and fail late, or write inf
+                # data, and a bool would load as the number 1
                 *({name: value} for name in ("L", "H", "s_alpha", "sigma_alpha2",
                                               "delta_beta2", "corr_l", "noise_percent")
-                  for value in (float("inf"), float("nan"))),
+                  for value in (float("inf"), float("nan"), True)),
                 # an infinite MCSE threshold stops a chain at its first check,
-                # and an infinite gradient reduction never stops Gauss-Newton
+                # and an infinite gradient reduction never stops Gauss-Newton;
+                # true would stop a chain on a threshold of 1
                 {"mala": {"mcse_threshold": float("inf")}},
                 {"gn": {"grad_reduction": float("inf")}},
+                {"mala": {"mcse_threshold": True}}, {"gn": {"grad_reduction": True}},
+                # the paper's examples take no truth parameters
+                {"truth_params": {"depth": 1.5}},
                 # an integer too large for a float
                 {"L": 10**400}, {"mala": {"mcse_threshold": 10**400}}):
         with pytest.raises(ConfigError):
@@ -124,29 +135,38 @@ def setting_keys(tp):
     return [f.name for f in dataclasses.fields(tp)] + ["unknown"]
 
 
+# the config's own float settings, L to noise_percent
+FLOAT_FIELDS = [name for name, hint in typing.get_type_hints(ExperimentConfig).items()
+                if hint is float]
+
+
 @given(st.fixed_dictionaries({}, optional={
            name: st.dictionaries(st.sampled_from(setting_keys(tp)), SETTING_VALUES)
            for name, tp in harness.NESTED.items()}),
        SETTING_VALUES)
 @example(d={}, value=math.inf)  # the derandomized draws hold no infinity
+@example(d={}, value=True)
 def test_loaded_settings_are_integers_and_finite_numbers(d, value):
-    # nested settings either fail on load or hold integer counts (not bools)
-    # and finite numbers; a dict of many drawn values seldom loads, so the
-    # drawn value also goes alone into each key of each settings object
+    # settings either fail on load or hold integer counts and finite real
+    # numbers, neither of them a bool; a dict of many drawn values seldom
+    # loads, so the drawn value also goes alone into each key of each
+    # settings object and into each float setting of the config
     single = [{name: {**REQUIRED.get(name, {}), key: value}}
               for name, tp in harness.NESTED.items() for key in setting_keys(tp)]
+    single += [{name: value} for name in FLOAT_FIELDS]
     for case in (d, *single):
         try:
             cfg = ExperimentConfig.from_dict(case)
         except ConfigError:
             continue
-        for name, tp in harness.NESTED.items():
-            for key, hint in typing.get_type_hints(tp).items():
-                got = getattr(getattr(cfg, name), key)
+        for settings in (cfg, *(getattr(cfg, name) for name in harness.NESTED)):
+            for key, hint in typing.get_type_hints(type(settings)).items():
+                got = getattr(settings, key)
                 if hint is int:
                     assert isinstance(got, numbers.Integral) and not isinstance(got, bool)
-                else:
-                    assert math.isfinite(got), (name, key, got)
+                elif hint is float:
+                    assert isinstance(got, numbers.Real) and not isinstance(got, bool)
+                    assert math.isfinite(got), (key, got)
 
 
 @pytest.mark.parametrize("bad", [{"fine_mesh": [229, 10]}, {"gn": 5}, {"mala": "x"},
@@ -731,11 +751,10 @@ def test_cli_non_positive_truth_height_exits_1(tmp_path, capsys):
     # naming the profile, not a traceback out of the assembly
     custom = {"f_x": [0.0, 1.0], "f_values": [1.0, -0.5],
               "beta_x": [0.0, 1.0], "beta_values": [0.0, 0.0]}
-    for profile, params in (("example1", {"depth": 1.5}), ("custom", custom)):
-        path, cfg = write_config(tmp_path, truth_profile=profile, truth_params=params)
-        assert cli.main(["generate-data", "--config", path]) == 1
-        assert f"truth profile {profile!r}" in capsys.readouterr().err
-        assert not os.path.exists(os.path.join(cfg.output_dir, "dataset.json"))
+    path, cfg = write_config(tmp_path, truth_profile="custom", truth_params=custom)
+    assert cli.main(["generate-data", "--config", path]) == 1
+    assert "truth profile 'custom'" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(cfg.output_dir, "dataset.json"))
 
 
 def test_cli_overflowing_custom_truth_exits_1(tmp_path, capsys):
@@ -754,6 +773,17 @@ def test_cli_overflowing_custom_truth_exits_1(tmp_path, capsys):
         assert cli.main(["generate-data", "--config", path]) == 1
         assert "truth profile 'custom'" in capsys.readouterr().err
         assert not os.path.exists(os.path.join(cfg.output_dir, "dataset.json"))
+
+
+def test_cli_mesh_too_large_to_allocate_exits_1(tmp_path, capsys):
+    # 10**15 columns need 7 PiB of node abscissae, beyond any address space:
+    # the allocation fails before it touches memory, and generate-data exits
+    # 1 with a message and writes nothing
+    path, cfg = write_config(tmp_path, fine_mesh={"nx": 10**15, "ny": 10})
+    assert cli.main(["generate-data", "--config", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "allocate" in err and "Traceback" not in err
+    assert not os.path.exists(os.path.join(cfg.output_dir, "dataset.json"))
 
 
 def test_cli_invalid_config_exit_code(tmp_path):

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from robinshape import fem, geometry, inverse
 from robinshape.geometry import InvalidShapeError
 
-from conftest import (dense_top_edge_derivatives, random_valid_parameters,
+from conftest import (BoundaryShape, dense_top_edge_derivatives, random_valid_parameters,
                       self_consistent_problem, small_problem)
 
 
@@ -241,7 +241,7 @@ def test_volume_derivatives_match_the_pointwise_einsums(nx, ny, rng):
     # pushforward_alpha_entries_from
     ws = fem.workspace(1.0, 0.05, nx, ny)
     ops = inverse.fourier_operators(ws, 7)
-    shape = geometry.BoundaryShape(alpha=0.05 * rng.standard_normal(15), L=1.0, H=0.05)
+    shape = BoundaryShape(alpha=0.05 * rng.standard_normal(15), L=1.0, H=0.05)
     f, df = shape.eval(ws.x1)
     w, x2 = ws.areas[:, None] / 3.0 * np.ones(3), ws.quad_pts[..., 1]
     Vg, dVg = ops.Vx[ws.vol_at], ops.dVx[ws.vol_at]

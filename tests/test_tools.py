@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import robinshape
 from robinshape.harness import ExperimentConfig
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -115,3 +116,13 @@ def test_readme_example_config_loads():
     block = readme.split("```json\n", 1)[1].split("```", 1)[0]
     cfg = ExperimentConfig.from_dict(json.loads(block))
     assert cfg.seed == 7 and cfg.gn.grad_reduction == 1e5 and cfg.mala.mcse_threshold == 0.1
+
+
+def test_readme_imports_exactly_the_package_root():
+    # the README's library example imports every name the package root
+    # exports, and only those
+    readme = (ROOT / "README.md").read_text()
+    lines = [line for line in readme.splitlines() if line.startswith("from robinshape import ")]
+    assert len(lines) == 1
+    names = lines[0].removeprefix("from robinshape import ").split(", ")
+    assert sorted(names) == sorted(robinshape.__all__)
