@@ -21,13 +21,13 @@ from .harness import ConfigError, ExperimentConfig, SyntheticDataset
 
 def _load_config(path: str | None, example: int | None = None) -> ExperimentConfig:
     """The config file at path, or the defaults writing to out/exampleN for
-    an example; an example sets the truth profile either way."""
+    an example; an example sets the truth profile and clears truth_params."""
     if path is not None:
         config = ExperimentConfig.from_json_file(path)
     else:
         config = ExperimentConfig(output_dir=f"out/example{example}" if example else "out")
     return config if example is None else dataclasses.replace(
-        config, truth_profile=f"example{example}")
+        config, truth_profile=f"example{example}", truth_params={})
 
 
 def _dataset_path(config: ExperimentConfig) -> str:

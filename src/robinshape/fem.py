@@ -3,9 +3,9 @@
 Volume terms use a 3-point (degree-2 exact) barycentric Gauss rule, edge
 terms a 2-point Gauss rule.  Dirichlet side conditions are imposed by
 elimination so the reduced system stays symmetric positive definite.  The
-free nodes are numbered column by column (x1 first), which keeps the reduced
-system banded with half-bandwidth ny + 2; one banded Cholesky factorization
-is shared by all loads and adjoint solves.
+free nodes, the slab grid's inner columns, are numbered column by column,
+which keeps the reduced system banded with half-bandwidth ny + 2; one banded
+Cholesky factorization is shared by all loads and adjoint solves.
 
 The boundary shape enters `assemble` only through the profile (f, df/dx1) at
 the workspace's distinct quadrature abscissae `FemWorkspace.x1`: the slab is a
@@ -53,7 +53,7 @@ from scipy.linalg.lapack import dpbtrf, dpbtrs
 # fem.pushforward_entries_from by name
 from .geometry import (InvalidShapeError, admittance_factor_from,  # noqa: F401
                        pushforward_entries_from)
-from .mesh import SlabMesh, build_slab_mesh, trace_of_top, triangle_areas
+from .mesh import SlabMesh, build_slab_mesh, row_edges, trace_of_top, triangle_areas
 
 
 class SolverError(Exception):
@@ -97,21 +97,18 @@ class FemWorkspace:
         # (left node, right node), sorted by x1, as build_slab_mesh emits them
         self.top_edges = mesh.edge_groups["top"]
         self.bottom_edges = mesh.edge_groups["bottom"]
-        # the trace nodes (E, 2) at the ends of each top edge, which
-        # `top_gather` reads, and that gather's exact transpose (q, 2E)
-        self.top_trace = np.searchsorted(self.trace.parent_nodes, self.top_edges)
+        # the trace nodes (E, 2) at the ends of each top edge, their grid
+        # columns, read by `top_gather`, and that gather's exact transpose (q, 2E)
+        self.top_trace = row_edges(np.arange(mesh.nx + 1))
         E = self.top_edges.shape[0]
         self.top_pullback = _frozen(sp.csr_matrix((
             np.tile(EDGE_PHI, (E, 1)).ravel(),
             (self.top_trace.repeat(2, axis=0).ravel(), np.arange(2 * E).repeat(2))),
             shape=(self.trace.n_nodes, 2 * E)))
 
-        x1 = mesh.nodes[:, 0]
-        free_mask = (x1 != 0.0) & (x1 != mesh.L)
-        # column-major order keeps the reduced system banded; it also holds on
-        # the deformed mesh, where x1 is unchanged and x2 scales by f > 0
-        free = np.flatnonzero(free_mask)
-        self.free = free[np.lexsort((mesh.nodes[free, 1], x1[free]))]
+        # the grid's inner columns, column by column, which keeps the
+        # reduced system banded
+        self.free = mesh.grid[:, 1:-1].T.ravel()
         self.full_to_free = -np.ones(mesh.n_nodes, dtype=np.int64)
         self.full_to_free[self.free] = np.arange(self.free.size)
 
@@ -168,7 +165,7 @@ class FemWorkspace:
             raise ValueError("sensor locations must lie in [0, L]")
 
         def build():
-            bottom = np.unique(self.bottom_edges)  # numbered in x1 order
+            bottom = self.mesh.grid[0]
             xs = self.mesh.nodes[bottom, 0]
             seg = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, xs.size - 2)
             t = (x - xs[seg]) / (xs[seg + 1] - xs[seg])
@@ -451,8 +448,7 @@ def solve_deformed(mesh: SlabMesh, shape, beta: np.ndarray, n_loads: int,
     The structured slab mesh is stretched vertically so that node row j sits
     at height H * f(x1) * j / ny, and the isotropic problem is assembled on
     that geometry with exp(beta) on the (slanted) top edge.  The stretched
-    copy shares the mesh's edge arrays, and x1 is unchanged, so its edges
-    keep their order.
+    copy shares the mesh's grid, and so its edges, free nodes and trace.
     """
     nodes = mesh.nodes.copy()
     f, _ = shape.eval(nodes[:, 0])

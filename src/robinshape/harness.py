@@ -87,7 +87,7 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be positive")
         if not self.noise_percent >= 0:
             raise ConfigError("noise_percent must be non-negative")
-        for name, tp in {**NESTED, "output_dir": str}.items():
+        for name, tp in {**NESTED, "truth_params": dict, "output_dir": str}.items():
             if not isinstance(getattr(self, name), tp):
                 kind = "a string" if tp is str else "an object"
                 raise ConfigError(f"{name} must be {kind}, not {getattr(self, name)!r}")

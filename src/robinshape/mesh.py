@@ -6,24 +6,23 @@ from dataclasses import dataclass
 import numpy as np
 
 
-class InvalidMeshError(Exception):
-    """Mesh violates a structural requirement (e.g. no tagged top edge)."""
-
-
 @dataclass(frozen=True)
 class SlabMesh:
     """Triangulation of the reference slab (0,L) x (0,H).
 
-    nodes: (N, 2) coordinates; each grid row's nodes are numbered in x1 order.
+    nodes: (N, 2) coordinates.
     triangles: (T, 3) node indices, counter-clockwise.
-    edge_groups: maps 'bottom' / 'top' / 'sides' to (E, 2) boundary edge
-    arrays; every bottom and top edge is (left node, right node), and the
-    edges are sorted by x1.
+    edge_groups: maps 'bottom' / 'top' to (nx, 2) boundary edge arrays,
+    each edge (left node, right node), sorted by x1.
+    grid: (ny+1, nx+1) node numbers, grid[j, i] the node of column i in
+    row j; the numbering's one statement, which every structural fact
+    (edges, free nodes, trace, sensors) is a slice of.
     """
 
     nodes: np.ndarray
     triangles: np.ndarray
     edge_groups: dict
+    grid: np.ndarray
     L: float
     H: float
     nx: int
@@ -49,13 +48,17 @@ class TraceMesh:
         return self.s.shape[0]
 
 
+def row_edges(row: np.ndarray) -> np.ndarray:
+    """The edges (row[i], row[i + 1]) between neighbours of a grid row."""
+    return np.column_stack([row[:-1], row[1:]])
+
+
 def build_slab_mesh(L: float, H: float, nx: int, ny: int) -> SlabMesh:
     """Build a structured right-triangle grid of (nx+1) x (ny+1) nodes.
 
-    Each grid cell is split along the same diagonal; boundary edges are
-    tagged bottom / top / sides.  Node j (nx + 1) + i is column i of row j,
-    so each row is numbered in x1 order; the bottom and top edges are
-    (left node, right node), sorted by x1, and the workspace reads them so.
+    Node j (nx + 1) + i is column i of row j (`SlabMesh.grid`).  Each grid
+    cell (a, b, c, d), counter-clockwise from its lower left node, is split
+    into (a, b, c) and (a, c, d); the bottom and top rows' edges are tagged.
     """
     if L <= 0 or H <= 0:
         raise ValueError(f"slab dimensions must be positive, got L={L}, H={H}")
@@ -70,27 +73,15 @@ def build_slab_mesh(L: float, H: float, nx: int, ny: int) -> SlabMesh:
     X, Y = np.meshgrid(xs, ys)
     nodes = np.column_stack([X.ravel(), Y.ravel()])
 
-    def nid(i, j):
-        return j * (nx + 1) + i
-
-    tris = []
-    for j in range(ny):
-        for i in range(nx):
-            a, b = nid(i, j), nid(i + 1, j)
-            c, d = nid(i + 1, j + 1), nid(i, j + 1)
-            tris.append((a, b, c))
-            tris.append((a, c, d))
-    triangles = np.asarray(tris, dtype=np.int64)
-
-    bottom = np.array([(nid(i, 0), nid(i + 1, 0)) for i in range(nx)], dtype=np.int64)
-    top = np.array([(nid(i, ny), nid(i + 1, ny)) for i in range(nx)], dtype=np.int64)
-    left = [(nid(0, j), nid(0, j + 1)) for j in range(ny)]
-    right = [(nid(nx, j), nid(nx, j + 1)) for j in range(ny)]
-    sides = np.asarray(left + right, dtype=np.int64)
+    grid = np.arange((ny + 1) * (nx + 1), dtype=np.int64).reshape(ny + 1, nx + 1)
+    a, b, c, d = grid[:-1, :-1], grid[:-1, 1:], grid[1:, 1:], grid[1:, :-1]
+    # cell by cell, row by row: (ny, nx, 2 triangles, 3 nodes)
+    triangles = np.stack([np.stack([a, b, c], axis=-1), np.stack([a, c, d], axis=-1)],
+                         axis=2).reshape(-1, 3)
 
     return SlabMesh(nodes=nodes, triangles=triangles,
-                    edge_groups={"bottom": bottom, "top": top, "sides": sides},
-                    L=float(L), H=float(H), nx=int(nx), ny=int(ny))
+                    edge_groups={"bottom": row_edges(grid[0]), "top": row_edges(grid[-1])},
+                    grid=grid, L=float(L), H=float(H), nx=int(nx), ny=int(ny))
 
 
 def triangle_areas(mesh: SlabMesh) -> np.ndarray:
@@ -101,10 +92,6 @@ def triangle_areas(mesh: SlabMesh) -> np.ndarray:
 
 
 def trace_of_top(mesh: SlabMesh) -> TraceMesh:
-    """Extract the top-edge trace mesh, ordered by x1: the top row's nodes,
-    which `build_slab_mesh` numbers in x1 order."""
-    top = mesh.edge_groups.get("top")
-    if top is None or len(top) == 0:
-        raise InvalidMeshError("mesh has no tagged top edges")
-    parents = np.unique(top)
-    return TraceMesh(s=mesh.nodes[parents, 0].copy(), parent_nodes=parents)
+    """The top-edge trace mesh: the grid's top row, in x1 order."""
+    parents = mesh.grid[-1]
+    return TraceMesh(s=mesh.nodes[parents, 0], parent_nodes=parents)

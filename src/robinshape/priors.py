@@ -53,22 +53,14 @@ def build_alpha_prior(p: int, sigma_alpha2: float, s_alpha: float) -> GaussianPr
 
 
 def trace_fem_matrices(trace: TraceMesh):
-    """1-D P1 stiffness and (unit-coefficient) mass matrices on the trace."""
-    q = trace.n_nodes
+    """1-D P1 stiffness and (unit-coefficient) mass matrices on the trace,
+    both tridiagonal: the element of length h between neighbouring nodes
+    adds a to each node's diagonal entry and b to their two shared entries,
+    with (a, b) = (1/h, -1/h) for the stiffness and (h/3, h/6) for the mass."""
     h = np.diff(trace.s)
-    K = np.zeros((q, q))
-    M = np.zeros((q, q))
-    for e, he in enumerate(h):
-        i, j = e, e + 1
-        K[i, i] += 1.0 / he
-        K[j, j] += 1.0 / he
-        K[i, j] -= 1.0 / he
-        K[j, i] -= 1.0 / he
-        M[i, i] += he / 3.0
-        M[j, j] += he / 3.0
-        M[i, j] += he / 6.0
-        M[j, i] += he / 6.0
-    return K, M
+    tridiagonal = lambda a, b: (np.diag(np.append(a, 0.0) + np.insert(a, 0, 0.0))
+                                + np.diag(b, 1) + np.diag(b, -1))
+    return tridiagonal(1.0 / h, -1.0 / h), tridiagonal(h / 3.0, h / 6.0)
 
 
 def build_beta_prior(trace: TraceMesh, delta_beta2: float, corr_l: float) -> GaussianPrior:

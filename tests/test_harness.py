@@ -108,8 +108,10 @@ def test_out_of_range_settings_rejected_before_any_work(tmp_path):
                 {"mala": {"mcse_threshold": float("inf")}},
                 {"gn": {"grad_reduction": float("inf")}},
                 {"mala": {"mcse_threshold": True}}, {"gn": {"grad_reduction": True}},
-                # the paper's examples take no truth parameters
+                # the paper's examples take no truth parameters, and
+                # truth_params must be a JSON object
                 {"truth_params": {"depth": 1.5}},
+                *({"truth_params": value} for value in (None, [], 0, "", False)),
                 # an integer too large for a float
                 {"L": 10**400}, {"mala": {"mcse_threshold": 10**400}}):
         with pytest.raises(ConfigError):
@@ -153,7 +155,7 @@ def test_loaded_settings_are_integers_and_finite_numbers(d, value):
     # settings object and into each float setting of the config
     single = [{name: {**REQUIRED.get(name, {}), key: value}}
               for name, tp in harness.NESTED.items() for key in setting_keys(tp)]
-    single += [{name: value} for name in FLOAT_FIELDS]
+    single += [{name: value} for name in FLOAT_FIELDS + ["truth_params"]]
     for case in (d, *single):
         try:
             cfg = ExperimentConfig.from_dict(case)
@@ -167,6 +169,8 @@ def test_loaded_settings_are_integers_and_finite_numbers(d, value):
                 elif hint is float:
                     assert isinstance(got, numbers.Real) and not isinstance(got, bool)
                     assert math.isfinite(got), (key, got)
+                elif hint is dict:
+                    assert isinstance(got, dict), (key, got)
 
 
 @pytest.mark.parametrize("bad", [{"fine_mesh": [229, 10]}, {"gn": 5}, {"mala": "x"},
@@ -682,20 +686,25 @@ def test_cli_pipeline_exit_codes(tmp_path):
     assert cli.main(["sample", "--config", path3]) == 3
 
 
-def test_cli_reproduce_example_with_config(tmp_path):
-    # the example number picks the truth profile; the file keeps its output_dir
+@pytest.mark.parametrize("truth", [{}, {"truth_profile": "custom", "truth_params": {
+    "f_x": [0.0, 1.0], "f_values": [1.0, 0.9], "beta_x": [0.0, 1.0], "beta_values": [0.0, 0.5]}}],
+    ids=["example1", "custom"])
+def test_cli_reproduce_example_with_config(tmp_path, truth):
+    # the example number picks the truth profile and drops the file's truth
+    # parameters; the file keeps its output_dir
     path, cfg = write_config(tmp_path, mala={"burn_in": 0, "max_steps": 100,
                                              "check_interval": 100,
-                                             "mcse_threshold": 1e-6})
+                                             "mcse_threshold": 1e-6}, **truth)
     assert cli.main(["reproduce-example", "3", "--config", path]) == 3
     with open(os.path.join(cfg.output_dir, "config.json")) as fh:
         written = json.load(fh)
     assert written["truth_profile"] == "example3"
+    assert written["truth_params"] == {}
     assert written["output_dir"] == cfg.output_dir
     assert sorted(os.listdir(cfg.output_dir)) == [
         "chain.csv", "config.json", "dataset.json", "map_report.json", "mcmc_summary.json"]
     # the dataset is the one generate-data writes for example3
-    ds = generate_data(dataclasses.replace(cfg, truth_profile="example3"))
+    ds = generate_data(dataclasses.replace(cfg, truth_profile="example3", truth_params={}))
     assert np.array_equal(SyntheticDataset.from_file(
         os.path.join(cfg.output_dir, "dataset.json")).y, ds.y)
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from robinshape.mesh import build_slab_mesh, trace_of_top
+from robinshape.mesh import TraceMesh, build_slab_mesh, trace_of_top
 from robinshape.priors import (build_alpha_prior, build_beta_prior,
                                joint_prior, trace_fem_matrices)
 
@@ -44,6 +44,39 @@ def test_trace_fem_matrices_uniform_grid():
     ones = np.ones(trace.n_nodes)
     np.testing.assert_allclose(K @ ones, 0.0, atol=1e-14)
     assert np.isclose(ones @ M @ ones, 1.0)
+
+
+def loop_trace_fem_matrices(trace):
+    """The trace's stiffness and mass matrices, assembled element by element."""
+    q = trace.n_nodes
+    h = np.diff(trace.s)
+    K = np.zeros((q, q))
+    M = np.zeros((q, q))
+    for e, he in enumerate(h):
+        i, j = e, e + 1
+        K[i, i] += 1.0 / he
+        K[j, j] += 1.0 / he
+        K[i, j] -= 1.0 / he
+        K[j, i] -= 1.0 / he
+        M[i, i] += he / 3.0
+        M[j, j] += he / 3.0
+        M[i, j] += he / 6.0
+        M[j, i] += he / 6.0
+    return K, M
+
+
+def nonuniform_trace():
+    s = np.sort(np.random.default_rng(3).uniform(0.0, 1.0, 40))
+    return TraceMesh(s=np.concatenate([[0.0], s, [1.0]]), parent_nodes=np.arange(42))
+
+
+@pytest.mark.parametrize("trace", [make_trace(nx) for nx in (1, 2, 13, 77, 229)]
+                         + [nonuniform_trace()],
+                         ids=["nx1", "nx2", "nx13", "nx77", "nx229", "nonuniform"])
+def test_trace_fem_matrices_are_bitwise_the_element_loop(trace):
+    for got, want in zip(trace_fem_matrices(trace), loop_trace_fem_matrices(trace)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def test_beta_prior_structure():
