@@ -115,7 +115,7 @@ def stretched(mesh, monkeypatch):
 @pytest.mark.parametrize("nx, ny", [(24, 3), (77, 7), (229, 10)])
 @pytest.mark.parametrize("deformed", [False, True], ids=["slab", "stretched"])
 def test_bottom_and_top_edges_in_x1_order(nx, ny, deformed, monkeypatch):
-    # the workspace, the trace and the sensors read these orders unsorted
+    # top_trace and the edge quadrature (lengths x1[b] - x1[a]) rely on this order
     mesh = build_slab_mesh(1.0, 0.05, nx, ny)
     if deformed:
         mesh = stretched(mesh, monkeypatch)
