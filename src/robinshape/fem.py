@@ -382,6 +382,10 @@ def _factor(ws: FemWorkspace, band: np.ndarray):
     top-edge quadrature points (E, 2).  Returns (band, chol), the upper
     banded system and its Cholesky factor.
     """
+    # LAPACK rejects an empty system only in the solve, and prints to stderr
+    if ws.free.size == 0:
+        raise SolverError("the mesh has no free node: every node lies on a side "
+                          "(nx must be at least 2)")
     band = band.reshape(ws.band_u + 1, ws.free.size)
     # LAPACK accepts an infinite diagonal (an overflowed exp(beta)) and
     # returns a factor with it, so non-finite entries are rejected first

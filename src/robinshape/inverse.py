@@ -16,10 +16,10 @@ derivative of the system matrix by two independent reductions:
 - the Jacobian pairs the loads' solutions with the n_sensors sensor
   adjoints (32 solves at the default size, where the direct sensitivity
   method needed n * n_loads = 744) on the elements: each load's gradients,
-  folded by two einsums into one (n_alpha, 2, T) buffer of the volume
-  coefficients' derivatives, go into one GEMM per load; the top edge's
-  point products take one GEMM on the alpha columns and reach beta through
-  the same `top_pullback`.
+  folded by two einsums into its (n_alpha, 2, T) slice of the volume
+  coefficients' derivatives, stacked over the loads, go into one GEMM for
+  all loads; the top edge's point products take one GEMM on the alpha
+  columns and reach beta through the same `top_pullback`.
 
 The gradient has one load-summed pair, the Jacobian 32 pairs per load.  On a
 2-core VM with one BLAS thread a band transpose took the desk gradient
@@ -275,11 +275,13 @@ class Problem:
         top-edge point (`top_edge_rows`).  On the volume, load k is folded
         into the coefficient derivatives, (dS/dalpha) grad(u_k) per triangle
         as (n_alpha, 2, T) with the triangle axis innermost, by two einsums
-        against the stacks [D11t, D12t] and [D12t, D22], and one GEMM per
-        load contracts the fold with the stacked gradients (2T, n_sensors)
-        of the sensor adjoints.  The fold is one buffer written in place,
-        one load at a time, so the transient memory stays at one load's
-        share.
+        against the stacks [D11t, D12t] and [D12t, D22].  The folds of all
+        loads are one (n_loads, n_alpha, 2, T) block, allocated per call
+        (2.07 MB at the desk size), and one (n_loads n_alpha, 2T) @ (2T,
+        n_sensors) GEMM contracts it with the stacked gradients of the
+        sensor adjoints: a GEMM of n_alpha rows per load runs far below
+        BLAS speed.  Each product lands in the same element of G as one
+        per-load GEMM would put it, so G is the same to the bit.
         """
         ev = self.potential(m)
         if not np.isfinite(ev.J):
@@ -292,15 +294,17 @@ class Problem:
         UW = np.hstack([ev.state.solutions, W])
         g, t = ws.grad_op @ UW, ws.top_op @ UW
         G = top_edge_rows(ws, system, ops.dVx, t[:, :K], t[:, K:])  # (n, K S)
-        # volume part, alpha only: grad(w) . (dS/dalpha) grad(u); fold[i, c]
+        # volume part, alpha only: grad(w) . (dS/dalpha) grad(u); fold[k, i, c]
         # is component c of (dS/dalpha_i) grad(u_k), triangle axis innermost
         D2 = ops.D2(*system.profile)
-        fold = np.empty((na, 2, T))
-        G_alpha, gw = G[:na].reshape(na, K, S), g[:, K:]
+        fold = np.empty((K, na, 2, T))
         for k, u in enumerate(np.ascontiguousarray(g[:, :K].T).reshape(K, 2, T)):
-            np.einsum("ct,ict->it", u, ops.D1, out=fold[:, 0])
-            np.einsum("ct,ict->it", u, D2, out=fold[:, 1])
-            G_alpha[:, k] += fold.reshape(na, 2 * T) @ gw
+            np.einsum("ct,ict->it", u, ops.D1, out=fold[k, :, 0])
+            np.einsum("ct,ict->it", u, D2, out=fold[k, :, 1])
+        # one (K n_alpha, 2T) @ (2T, S) GEMM with the sensor adjoints'
+        # gradients; its (k, i) rows go to G's alpha row i, columns k S + s
+        G_alpha = G[:na].reshape(na, K, S)
+        G_alpha += (fold.reshape(K * na, 2 * T) @ g[:, K:]).reshape(K, na, S).transpose(1, 0, 2)
         return np.negative(G.T, out=np.empty((K * S, self.n)))
 
     def linearize(self, m: np.ndarray):

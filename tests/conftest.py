@@ -8,7 +8,7 @@ from hypothesis import settings
 
 from robinshape import fem
 from robinshape.geometry import admittance_alpha_entries_from, fourier_basis
-from robinshape.inverse import Problem
+from robinshape.inverse import Problem, top_edge_rows
 from robinshape.priors import build_alpha_prior, build_beta_prior, joint_prior
 
 # property tests draw their examples from a fixed seed and keep no example
@@ -97,6 +97,29 @@ def dense_top_edge_derivatives(problem, system):
     for a in range(2):
         D_top[np.arange(E), :, na + ws.top_trace[:, a]] = wq * fem.EDGE_PHI[:, a]
     return D_top.reshape(2 * E, problem.n)
+
+
+def per_load_jacobian(problem, m):
+    """The Jacobian of `problem` at m with one volume GEMM per load: load k
+    folded into one reused (n_alpha, 2, T) buffer by the two einsums, then
+    contracted with the sensor adjoints' triangle gradients and added into
+    the alpha rows of its columns.  A reference for `Problem.jacobian`,
+    which stacks every load's fold and contracts them in one GEMM."""
+    ev = problem.potential(m)
+    system, ws, ops = ev.state.system, problem.ws, problem.basis
+    W = system.solve(problem.B.adjoint(np.eye(problem.B.block.shape[0])))
+    K, S, T, na = problem.n_loads, W.shape[1], ws.areas.size, problem.n_alpha
+    UW = np.hstack([ev.state.solutions, W])
+    g, t = ws.grad_op @ UW, ws.top_op @ UW
+    G = top_edge_rows(ws, system, ops.dVx, t[:, :K], t[:, K:])
+    D2 = ops.D2(*system.profile)
+    fold = np.empty((na, 2, T))
+    G_alpha, gw = G[:na].reshape(na, K, S), g[:, K:]
+    for k, u in enumerate(np.ascontiguousarray(g[:, :K].T).reshape(K, 2, T)):
+        np.einsum("ct,ict->it", u, ops.D1, out=fold[:, 0])
+        np.einsum("ct,ict->it", u, D2, out=fold[:, 1])
+        G_alpha[:, k] += fold.reshape(na, 2 * T) @ gw
+    return np.negative(G.T, out=np.empty((K * S, problem.n)))
 
 
 @dataclass

@@ -257,6 +257,17 @@ def test_beta_of_another_trace_is_rejected():
         with pytest.raises(ValueError, match="beta length"):
             fem.solve_deformed(mesh, flat_shape(), beta, 2, [0.5])
 
+
+def test_mesh_without_free_nodes_is_refused_before_lapack(capfd):
+    # nx = 1 leaves no free node: the factorization refuses the empty
+    # system itself, and LAPACK never prints its illegal-value message
+    mesh = build_slab_mesh(1.0, 0.05, 1, 1)
+    assert fem.FemWorkspace(mesh).free.size == 0
+    with pytest.raises(fem.SolverError, match="no free node"):
+        fem.solve_deformed(mesh, flat_shape(), np.zeros(2), 2, [0.5])
+    assert capfd.readouterr() == ("", "")
+
+
 def test_indefinite_system_raises_solver_error():
     ws = fem.FemWorkspace(build_slab_mesh(1.0, 0.05, 12, 3))
     c = np.concatenate([-ws.areas, 0 * ws.areas, -ws.areas, np.zeros(ws.top_squad.size)])

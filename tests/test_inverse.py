@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from robinshape import fem, geometry, inverse
+from robinshape import fem, geometry, inverse, optimize
 from robinshape.geometry import InvalidShapeError
+from robinshape.harness import ExperimentConfig, build_problem, generate_data
 
-from conftest import (BoundaryShape, dense_top_edge_derivatives, random_valid_parameters,
-                      self_consistent_problem, small_problem)
+from conftest import (BoundaryShape, dense_top_edge_derivatives, per_load_jacobian,
+                      random_valid_parameters, self_consistent_problem, small_problem)
 
 
 def test_parameter_layout():
@@ -133,12 +134,12 @@ def test_adjoint_matches_jacobian_gradient_desk(rng):
 
 
 def test_desk_jacobian_memory_is_bounded(rng):
-    # folding one load at a time into the coefficient derivatives keeps the
-    # volume temporaries at (n_alpha, 2, T), never a product per load and
-    # sensor pair: all 8 x 32 pair products at once peaked at 13.1-13.8 MB
-    # of live NumPy memory; with the two einsums of each load written into
-    # one reused (n_alpha, 2, T) fold and the stack [D12t, D22] beside it,
-    # the whole desk Jacobian peaked at 2.2-2.3 MB
+    # the volume temporaries are the loads' folded coefficient derivatives,
+    # never a product per load and sensor pair: all 8 x 32 pair products at
+    # once peaked at 13.1-13.8 MB of live NumPy memory; the stacked fold
+    # (n_loads, n_alpha, 2, T) that the one GEMM reads takes 8 x 15 x 2 x
+    # 1078 x 8 bytes = 2.07 MB, and with it the whole desk Jacobian peaked
+    # at 4.0 MB
     prob = desk_problem()
     m = random_valid_parameters(prob, rng)
     prob.potential(m)  # kept, so the traced call only linearizes
@@ -150,6 +151,32 @@ def test_desk_jacobian_memory_is_bounded(rng):
         tracemalloc.stop()
     assert G.shape == (256, 93)
     assert peak < 6e6
+
+
+@pytest.mark.parametrize("profile, seed", [("example1", 1), ("example3", 2)])
+def test_desk_jacobian_is_bitwise_the_per_load_reference(profile, seed, rng):
+    # the stacked fold's one GEMM adds each (load, alpha) row into G in the
+    # per-load loop's place, so at the desk MAPs and at random desk points
+    # the Jacobian is bitwise the reference's
+    cfg = ExperimentConfig(seed=seed, truth_profile=profile)
+    prob = build_problem(cfg, generate_data(cfg))
+    m_map, _ = optimize.gauss_newton(prob, prob.prior_mean, cfg.gn)
+    for m in (m_map, random_valid_parameters(prob, rng)):
+        G = prob.jacobian(m)
+        assert G.flags.c_contiguous
+        assert np.array_equal(G, per_load_jacobian(prob, m))
+
+
+@pytest.mark.parametrize("n_loads", [1, 3])
+def test_jacobian_matches_the_per_load_reference(n_loads, rng):
+    # one load, and a load count that differs from n_alpha = 7, so a
+    # swapped load/alpha axis of the stacked fold shows
+    prob = small_problem(n_loads=n_loads, n_sensors=5)
+    for _ in range(3):
+        m = random_valid_parameters(prob, rng)
+        G, ref = prob.jacobian(m), per_load_jacobian(prob, m)
+        assert G.shape == ref.shape == (n_loads * 5, prob.n)
+        assert np.max(np.abs(G - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("n_loads, n_sensors", [(4, 16), (1, 1), (3, 5)])
